@@ -15,14 +15,27 @@ The production path exploits the product structure of the system.  Writing
 u = (y1, y2, y3, y4) and v = (y5, y6, y7, y8), the constraints say u and v
 both lie in S = {P1(u2) - P1(u1) = P1(u4) - P1(u3)} and share the same value
 of the pair (T2, T3) = (P2'(u3) - P2'(u1), P2(u2) - P2(u1)); moreover
-Q(u, v) = G(v) - G(u) for G(u) = P2(u4) - P2(u3).  So it suffices to build
-the joint histogram K[t2, t3, g] of (T2, T3, G) over S, which costs
-O(deg(P1) * p^3) with a preimage table for P1, and then
+Q(u, v) = G(v) - G(u) for G(u) = P2(u4) - P2(u3).  With K the joint
+histogram of (T2, T3, G) over S, read as a (p^2) x p matrix with one row
+per (t2, t3),
 
-    c[a] = sum over (t2, t3) of sum_g K[t2, t3, g] * K[t2, t3, (g + a) mod p]
+    c[a] = sum over rows r of sum_g K[r, g] * K[r, (g + a) mod p]
+         = sum_g Gram[g, (g + a) mod p],   Gram = K^T K.
 
-by circular autocorrelation along the g axis.  Everything is integer
-arithmetic on int64 arrays, so results are exact and runs are deterministic.
+K is never held whole.  The pairs (u1, u3) are grouped by their T2 value
+into slabs; a batch of whole slabs (about BATCH_ROWS base rows (u1, u2, u3)
+plus the p^2 cells of K per slab) expands u4 through the CSR preimage table
+of P1, histograms its block of complete K rows with one bincount, and adds
+that block's Gram product to the running p x p total.  Memory is therefore
+O(p^2 + BATCH_ROWS) and the work O(deg(P1) * p^3 + p^4) with the p^4 term
+in BLAS.
+
+The Gram product runs in float64 yet is exact.  Every entry of K is a
+nonnegative integer, so every partial sum BLAS forms, in whatever order, is
+at most its final Gram entry, which is at most sum_r rowsum_r^2 = |V|.  The
+enumeration tracks that sum in Python ints and stops with
+WorkBudgetExceeded before it reaches EXACT_LIMIT = 2**53, below which
+float64 represents every integer; the finished c must then sum to it.
 
 Two slower paths back this up: a four-variable walk that resolves the
 dependent slots y4, y6, y7, y8 through preimage tables (the transparent
@@ -34,11 +47,19 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CharTooSmall, CorruptFiberFile, WorkBudgetExceeded
+from .errors import (
+    CharTooSmall,
+    CorruptFiberFile,
+    NotPrime,
+    OutOfRange,
+    WorkBudgetExceeded,
+)
 from .field import PrimeField, field_new, value_table
 from .polys import IntPoly, NormalizedPair
 from .fourier import char_sums_over_fibers
@@ -46,6 +67,13 @@ from .fourier import char_sums_over_fibers
 DEFAULT_BUDGET = 2_000_000_000
 
 SCHEMA_VERSION = 1
+
+# Base rows (u1, u2, u3) per batch of the fast enumerator.  Batches hold
+# whole T2 slabs, and each slab also counts its p^2 cells of K.
+BATCH_ROWS = 1 << 20
+
+# float64 holds every integer below 2**53 exactly; see the module docstring.
+EXACT_LIMIT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -101,7 +129,8 @@ class FiberDistribution:
         c = np.asarray(c, dtype=np.int64)
         if c.shape != (field.p,) or (c < 0).any():
             raise ValueError("histogram must be p nonnegative counts")
-        v_size = int(c.sum())
+        fibers = c.tolist()
+        v_size = sum(fibers)
         p4 = field.p**4
         upper = pair.r1**2 * pair.r2**2 * p4
         if not p4 <= v_size <= upper:
@@ -113,7 +142,7 @@ class FiberDistribution:
             pair=pair,
             c=c,
             v_size=v_size,
-            w_size=int(np.dot(c, c)),
+            w_size=sum(n * n for n in fibers),
             max_fiber=int(c.max()),
         )
 
@@ -135,24 +164,41 @@ class FiberDistribution:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        """Write the file atomically: a same-directory temp file, then rename.
+
+        Readers see either the old file or the complete new one, even if the
+        writer dies midway or another worker saves the same path.
+        """
+        path = os.fspath(path)
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path, pair: NormalizedPair) -> "FiberDistribution":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if raw.get("schema") != SCHEMA_VERSION:
-            raise CorruptFiberFile(f"{path}: unsupported schema {raw.get('schema')}")
-        if raw.get("pair") != pair.key() or raw.get("pair_hash") != pair.pair_hash():
-            raise CorruptFiberFile(f"{path}: fiber file is for a different pair")
-        field = field_new(int(raw["p"]))
-        c = np.asarray(raw["c"], dtype=np.int64)
+        """Read and check a fiber file; malformed content is CorruptFiberFile."""
         try:
-            dist = cls.from_histogram(field, pair, c)
-        except ValueError as exc:
-            raise CorruptFiberFile(f"{path}: {exc}") from exc
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise CorruptFiberFile(f"{path}: fiber file is not a JSON object")
+            if raw.get("schema") != SCHEMA_VERSION:
+                raise CorruptFiberFile(
+                    f"{path}: unsupported schema {raw.get('schema')}"
+                )
+            if raw.get("pair") != pair.key() or raw.get("pair_hash") != pair.pair_hash():
+                raise CorruptFiberFile(f"{path}: fiber file is for a different pair")
+            field = field_new(int(raw["p"]))
+            dist = cls.from_histogram(field, pair, raw["c"])
+        except (KeyError, TypeError, ValueError, OverflowError, NotPrime, OutOfRange) as exc:
+            raise CorruptFiberFile(f"{path}: {type(exc).__name__}: {exc}") from exc
         for key, got in (
             ("v_size", dist.v_size),
             ("w_size", dist.w_size),
@@ -180,12 +226,24 @@ def _gate(pair: NormalizedPair, field: PrimeField, budget: int) -> None:
         )
 
 
+def _slab_batches(cost):
+    """Split slabs 0..len(cost)-1 into runs [lo, hi) of about BATCH_ROWS cost."""
+    lo = 0
+    while lo < len(cost):
+        hi, acc = lo, 0
+        while hi < len(cost) and acc < BATCH_ROWS:
+            acc += int(cost[hi])
+            hi += 1
+        yield lo, hi
+        lo = hi
+
+
 def enumerate_fibers(
     pair: NormalizedPair,
     field: PrimeField,
     budget: int = DEFAULT_BUDGET,
 ) -> FiberDistribution:
-    """Exact Q-fiber histogram via the split-and-autocorrelate algorithm."""
+    """Exact Q-fiber histogram: K streamed by T2 slab, autocorrelated by Gram."""
     _gate(pair, field, budget)
     p = field.p
     t1 = value_table(pair.p1, field)
@@ -193,45 +251,52 @@ def enumerate_fibers(
     t2p = value_table(pair.p2prime, field)
 
     counts, offsets, roots = _csr_preimages(t1, p)
+    root_p2 = t2[roots]
 
-    # Joint histogram K[t2, t3, g] over S, indexed flat as (t2*p + t3)*p + g.
-    kflat = np.zeros(p * p * p, dtype=np.int64)
+    # CSR list of the pairs (u1, u3), flat index u1*p + u3, by T2 slab.
+    z2 = ((t2p[None, :] - t2p[:, None]) % p).ravel()
+    slab_pairs, slab_start, slab_order = _csr_preimages(z2, p)
 
-    # Chunk the (u1, u2, u3) base grid to bound peak memory.
-    rows_per_u1 = p * p
-    block = max(1, 4_000_000 // rows_per_u1)
-    u2g, u3g = np.meshgrid(
-        np.arange(p, dtype=np.int64), np.arange(p, dtype=np.int64), indexing="ij"
+    # T3 * p for every (u1, u2): the middle digit of the K key.
+    t3_key = ((t2[None, :] - t2[:, None]) % p) * p
+
+    gram = np.zeros((p, p))
+    v_size = 0
+    for lo, hi in _slab_batches(slab_pairs * p + p * p):
+        n_pairs = int(slab_pairs[lo:hi].sum())
+        u1, u3 = np.divmod(slab_order[slab_start[lo] : slab_start[lo] + n_pairs], p)
+        slab = np.repeat(np.arange(hi - lo, dtype=np.int64), slab_pairs[lo:hi])
+        # One base row per (pair, u2); u4 runs over the roots of P1 at s.
+        s = (t1[None, :] + (t1[u3] - t1[u1])[:, None]) % p
+        row_key = t3_key[u1] + (slab * (p * p))[:, None]
+        u3_p2 = np.broadcast_to(t2[u3][:, None], s.shape)
+        n_roots, first = counts[s], offsets[s]
+        keys = []
+        for j in range(int(counts.max())):
+            has = n_roots > j
+            g = (root_p2[first[has] + j] - u3_p2[has]) % p
+            keys.append(row_key[has] + g)
+        kb = np.bincount(np.concatenate(keys), minlength=(hi - lo) * p * p)
+        kb = kb.reshape(-1, p)
+
+        v_size += sum(r * r for r in kb.sum(axis=1).tolist())
+        if v_size >= EXACT_LIMIT:
+            raise WorkBudgetExceeded(
+                f"p = {p}: |V| reaches {EXACT_LIMIT}, the exactness limit of "
+                "the float64 Gram product"
+            )
+        kf = kb.astype(np.float64)
+        gram += kf.T @ kf
+
+    idx = np.arange(p)
+    shifted = np.take_along_axis(
+        gram.astype(np.int64), (idx[:, None] + idx[None, :]) % p, axis=1
     )
-    u2g = u2g.ravel()
-    u3g = u3g.ravel()
-    for u1_lo in range(0, p, block):
-        u1s = np.arange(u1_lo, min(u1_lo + block, p), dtype=np.int64)
-        u1 = np.repeat(u1s, rows_per_u1)
-        u2 = np.tile(u2g, len(u1s))
-        u3 = np.tile(u3g, len(u1s))
-
-        s = (t1[u2] - t1[u1] + t1[u3]) % p
-        cnt = counts[s]
-        total = int(cnt.sum())
-        if total == 0:
-            continue
-        row = np.repeat(np.arange(len(s), dtype=np.int64), cnt)
-        starts = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, cnt)
-        u4 = roots[offsets[s[row]] + within]
-
-        u1r, u2r, u3r = u1[row], u2[row], u3[row]
-        z2 = (t2p[u3r] - t2p[u1r]) % p
-        z3 = (t2[u2r] - t2[u1r]) % p
-        g = (t2[u4] - t2[u3r]) % p
-        key = (z2 * p + z3) * p + g
-        kflat += np.bincount(key, minlength=p * p * p)
-
-    k2 = kflat.reshape(p * p, p)
-    c = np.empty(p, dtype=np.int64)
-    for a in range(p):
-        c[a] = int(np.einsum("rg,rg->", k2, np.roll(k2, -a, axis=1)))
+    c = shifted.sum(axis=0)
+    if int(c.sum()) != v_size:
+        raise ArithmeticError(
+            f"p = {p}: Gram autocorrelation sums to {int(c.sum())}, not |V| = {v_size}"
+        )
     return FiberDistribution.from_histogram(field, pair, c)
 
 

@@ -23,7 +23,8 @@ from ffprog.counting import count_progressions, expander_image
 from ffprog.field import field_new
 from ffprog.polys import normalize_pair, parse_pair, parse_poly
 from ffprog.setfun import random_subset
-from ffprog.variety import growth_report
+from ffprog import variety
+from ffprog.variety import FiberDistribution, growth_report
 
 # sha256 of the count report for (y,y^2), primes 5,7, sets random:0.5:42.
 # Regenerate with:
@@ -340,6 +341,68 @@ def test_charsum_heals_corrupt_cache(tmp_path):
     # file was rewritten clean
     rewritten = json.loads(open(path).read())
     assert rewritten["v_size"] == sum(rewritten["c"])
+
+
+def truncate_cached_fibers(cache):
+    (path,) = glob.glob(str(cache / "fibers_*.json"))
+    assert os.path.getsize(path) > 200
+    with open(path, "r+b") as fh:
+        fh.truncate(200)
+    return path
+
+
+def test_variety_rebuilds_truncated_cache(tmp_path):
+    cache = tmp_path / "cache"
+    args = [
+        "variety",
+        "--pair",
+        "y,y^2",
+        "--primes",
+        "7",
+        "--cache-dir",
+        str(cache),
+        "--out",
+        str(tmp_path / "a.csv"),
+    ]
+    assert main(args) == EXIT_OK
+    path = truncate_cached_fibers(cache)
+    args[-1] = str(tmp_path / "b.csv")
+    assert main(args) == EXIT_OK
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    pair = normalize_pair(*parse_pair("y,y^2"))
+    assert FiberDistribution.load(path, pair).field.p == 7
+
+
+def test_verify_truncated_cache_fails_rows(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    base = [
+        "verify",
+        "--only",
+        "sandwich",
+        "--pair",
+        "y,y^2",
+        "--primes",
+        "7",
+        "--cache-dir",
+        str(cache),
+    ]
+    assert main(base) == EXIT_OK
+    truncate_cached_fibers(cache)
+    capsys.readouterr()
+    rc = main(base)
+    out = capsys.readouterr().out
+    assert rc == EXIT_CHECK_FAILED
+    failing = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL")}
+    assert failing == {"sandwich"}
+
+
+def test_variety_past_exactness_limit_exits_budget(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(variety, "EXACT_LIMIT", 7**4)
+    rc = main(
+        ["variety", "--pair", "y,y^2", "--primes", "7", "--cache-dir", str(tmp_path)]
+    )
+    assert rc == EXIT_BUDGET
+    assert "exactness limit" in capsys.readouterr().err
 
 
 # --- verify ---------------------------------------------------------------------

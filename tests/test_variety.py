@@ -1,10 +1,12 @@
 import json
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 from conftest import brute_histogram, brute_points
 
+from ffprog import variety
 from ffprog import (
     CSV_COLUMNS,
     CharTooSmall,
@@ -18,6 +20,7 @@ from ffprog import (
     field_new,
     growth_report,
     parse_poly,
+    value_table,
     work_estimate,
 )
 
@@ -86,6 +89,56 @@ def test_fast_matches_reference_p7_p11(standard_pairs, fibers_cache):
             assert fast.c.tolist() == loop.c.tolist()
             assert fast.v_size == loop.v_size
             assert fast.w_size == loop.w_size
+
+
+def slab_sizes(pair, p):
+    t2p = value_table(pair.p2prime, field_new(p))
+    return np.bincount(((t2p[None, :] - t2p[:, None]) % p).ravel(), minlength=p)
+
+
+@pytest.mark.parametrize("spec", ["y^2,y^3", "y,y^3", "2*y^2,y^2+y"])
+def test_fast_matches_reference_across_batches(standard_pairs, spec, monkeypatch):
+    # y^2,y^3 and 2*y^2,y^2+y have a 2-to-1 P1; every pair here has T2
+    # slabs of unequal sizes.  The batch size is cut so that batches hold
+    # several slabs and there are several batches.
+    p = 19
+    pair = standard_pairs[spec]
+    sizes = slab_sizes(pair, p)
+    assert sizes.min() < sizes.max()
+    monkeypatch.setattr(variety, "BATCH_ROWS", 3 * p * p)
+    cost = sizes * p + p * p
+    assert 1 < len(list(variety._slab_batches(cost))) < p
+    f = field_new(p)
+    fast = enumerate_fibers(pair, f)
+    loop = enumerate_fibers_reference(pair, f)
+    assert fast.c.tolist() == loop.c.tolist()
+
+
+def test_one_slab_per_batch_matches_default(standard_pairs, monkeypatch):
+    p = 31
+    f = field_new(p)
+    want = {k: enumerate_fibers(pair, f).c.tolist() for k, pair in standard_pairs.items()}
+    monkeypatch.setattr(variety, "BATCH_ROWS", 1)
+    assert len(list(variety._slab_batches(slab_sizes(standard_pairs["y,y^2"], p)))) == p
+    for k, pair in standard_pairs.items():
+        assert enumerate_fibers(pair, f).c.tolist() == want[k], k
+
+
+def test_pinned_sizes_y_y2_p101(standard_pairs):
+    # recorded from the enumerator that materialised K[t2, t3, g] whole
+    d = enumerate_fibers(standard_pairs["y,y^2"], field_new(101))
+    assert (d.v_size, d.w_size, d.max_fiber) == (107100501, 122782302481301, 4080601)
+
+
+def test_exactness_limit_fails_fast(standard_pairs, monkeypatch):
+    pair = standard_pairs["y,y^2"]
+    f = field_new(7)
+    v_size = enumerate_fibers(pair, f).v_size
+    monkeypatch.setattr(variety, "EXACT_LIMIT", v_size + 1)
+    assert enumerate_fibers(pair, f).v_size == v_size
+    monkeypatch.setattr(variety, "EXACT_LIMIT", v_size)
+    with pytest.raises(WorkBudgetExceeded, match="exactness limit"):
+        enumerate_fibers(pair, f)
 
 
 def test_w_size_matches_pair_count_oracle(standard_pairs):
@@ -163,6 +216,15 @@ def test_from_histogram_rejects_bad_input(standard_pairs):
         )
 
 
+def test_w_size_exact_beyond_int64(standard_pairs):
+    # p^8 > 2^63: an int64 dot product wraps to a negative number here
+    p = 251
+    c = np.zeros(p, dtype=np.int64)
+    c[0] = p**4
+    d = FiberDistribution.from_histogram(field_new(p), standard_pairs["y,y^2"], c)
+    assert d.w_size == p**8
+
+
 # --- gates -------------------------------------------------------------------
 
 
@@ -237,6 +299,51 @@ def test_load_rejects_tampering(standard_pairs, fibers_cache, tmp_path):
     other = standard_pairs["y,y^3"]
     with pytest.raises(CorruptFiberFile):
         FiberDistribution.load(path, other)
+
+
+def test_load_rejects_malformed_files(standard_pairs, fibers_cache, tmp_path):
+    pair = standard_pairs["y,y^2"]
+    path = tmp_path / "fibers.json"
+    fibers_cache(pair, 7).save(path)
+    text = path.read_text()
+
+    def drop_counts(raw):
+        del raw["c"]
+
+    def text_counts(raw):
+        raw["c"] = "many"
+
+    def huge_counts(raw):
+        raw["c"] = [2**70] * 7
+
+    def composite_p(raw):
+        raw["p"] = 8
+
+    def null_p(raw):
+        raw["p"] = None
+
+    bad = [tampered(path, tmp_path, m) for m in (drop_counts, text_counts, huge_counts, composite_p, null_p)]
+    for name, body in (("truncated.json", text[:200]), ("list.json", "[]"), ("empty.json", "")):
+        bad.append(tmp_path / name)
+        bad[-1].write_text(body)
+    for bad_path in bad:
+        with pytest.raises(CorruptFiberFile):
+            FiberDistribution.load(bad_path, pair)
+
+
+def test_failed_save_keeps_old_file(standard_pairs, fibers_cache, tmp_path, monkeypatch):
+    pair = standard_pairs["y,y^2"]
+    path = tmp_path / "fibers.json"
+    fibers_cache(pair, 7).save(path)
+    before = path.read_bytes()
+    # serialisation fails after the first key has been written
+    monkeypatch.setattr(
+        FiberDistribution, "to_json_dict", lambda self: {"c": [1], "z": object()}
+    )
+    with pytest.raises(TypeError):
+        fibers_cache(pair, 7).save(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["fibers.json"]
 
 
 # --- growth report -----------------------------------------------------------
