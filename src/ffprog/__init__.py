@@ -56,7 +56,6 @@ from .fourier import (
     dft,
     inverse_dft,
     lambda_prime_spectral,
-    root_table,
     weil_ratio,
 )
 from .variety import (

@@ -46,7 +46,7 @@ from .errors import (
     NotPrime,
     WorkBudgetExceeded,
 )
-from .field import field_new, is_prime
+from .field import MAX_P, field_new, is_prime
 from .fourier import char_sums_over_fibers, lambda_prime_spectral, weil_ratio
 from .polys import build_aux_system, normalize_pair, parse_pair, parse_poly
 from .setfun import balance, parse_subset, random_subset
@@ -63,6 +63,7 @@ from .variety import (
     FiberDistribution,
     SCHEMA_VERSION,
     growth_report,
+    write_text_atomic,
 )
 
 EXIT_OK = 0
@@ -96,9 +97,10 @@ def parse_primes(text: str) -> list[int]:
     """'a..b' (inclusive, primality-filtered) or a comma list (filtered)."""
     text = text.strip()
     if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        candidates = range(min(lo, hi), max(lo, hi) + 1)
+        lo, hi = sorted(int(s) for s in text.split("..", 1))
+        if hi >= MAX_P:
+            raise ConfigError(f"prime range {text!r} must stay below 2**31")
+        candidates = range(lo, hi + 1)
     else:
         candidates = [int(tok) for tok in text.split(",") if tok.strip()]
     primes = sorted({n for n in candidates if n >= 2 and is_prime(n)})
@@ -107,10 +109,12 @@ def parse_primes(text: str) -> list[int]:
     return primes
 
 
-def load_config(path: str) -> dict:
+def load_config(parser: argparse.ArgumentParser, command: str, path: str) -> dict:
+    """Values of a flat key = value file, checked by the same types and
+    choices as the flags; an unknown key or a bad value exits like a bad flag."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path!r}")
-    out = {}
+    tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -119,8 +123,9 @@ def load_config(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
+            tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    parsed = vars(parser.parse_args([command, *tokens]))
+    return {k: v for k, v in parsed.items() if v is not None and k != "command"}
 
 
 def merged_option(args, config: dict, key: str, default=None):
@@ -178,7 +183,7 @@ def get_fibers(
     path = fiber_path(cache_dir, pair, p)
     if os.path.exists(path):
         try:
-            return FiberDistribution.load(path, pair)
+            return FiberDistribution.load(path, pair, p)
         except CorruptFiberFile:
             if strict_cache:
                 raise
@@ -212,6 +217,13 @@ def warm_fibers(pairs, primes, budget, cache_dir, workers, enumerator=None):
 # --- report emission -------------------------------------------------------------
 
 
+def _write_report(text: str, out: str | None) -> None:
+    if out:
+        write_text_atomic(out, text)
+    else:
+        sys.stdout.write(text)
+
+
 def emit_rows(command: str, meta: dict, columns, rows, fmt: str, out: str | None) -> None:
     if fmt == "json":
         doc = {"schema": SCHEMA_VERSION, "command": command}
@@ -225,20 +237,11 @@ def emit_rows(command: str, meta: dict, columns, rows, fmt: str, out: str | None
         for row in rows:
             writer.writerow(row)
         text = buf.getvalue()
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_report(text, out)
 
 
 def emit_json(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_report(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -298,14 +301,12 @@ def cmd_variety(args, config) -> int:
         raise ConfigError("variety needs --pair")
     pair = normalize_pair(*parse_pair(pair_text))
     primes = parse_primes(merged_option(args, config, "primes", "7,11,13"))
-    budget = int(merged_option(args, config, "budget", DEFAULT_BUDGET))
+    budget = merged_option(args, config, "budget", DEFAULT_BUDGET)
     if budget < 1:
         raise ConfigError("budget must be >= 1")
     cache_dir = merged_option(args, config, "cache_dir", "ffprog-cache")
-    workers = int(merged_option(args, config, "workers", 1))
+    workers = merged_option(args, config, "workers", 1)
     oracle = merged_option(args, config, "oracle", "fast")
-    if oracle not in ENUMERATORS:
-        raise ConfigError(f"unknown oracle {oracle!r}; pick from {sorted(ENUMERATORS)}")
     fmt = merged_option(args, config, "format", "csv")
     out = merged_option(args, config, "out")
 
@@ -331,7 +332,7 @@ def cmd_charsum(args, config) -> int:
         raise ConfigError("charsum needs --pair")
     pair = normalize_pair(*parse_pair(pair_text))
     primes = parse_primes(merged_option(args, config, "primes", "7,11,13"))
-    budget = int(merged_option(args, config, "budget", DEFAULT_BUDGET))
+    budget = merged_option(args, config, "budget", DEFAULT_BUDGET)
     cache_dir = merged_option(args, config, "cache_dir", "ffprog-cache")
     fmt = merged_option(args, config, "format", "csv")
     out = merged_option(args, config, "out")
@@ -397,22 +398,25 @@ def cmd_normalize(args, config) -> int:
     return EXIT_OK
 
 
+def _certificates(rmax: int, threshold: float):
+    """Every root-separation certificate up to degree rmax, in report order."""
+    for r1 in range(1, rmax + 1):
+        for r2 in range(r1 + 1, rmax + 1):
+            yield certify_separation_unequal(r1, r2, threshold)
+    for r1 in range(2, rmax + 1):
+        for r3 in range(1, r1):
+            yield certify_separation_equal(r1, r3, threshold)
+
+
 def cmd_certify(args, config) -> int:
-    rmax = int(merged_option(args, config, "rmax", MAX_CERT_DEGREE))
+    rmax = merged_option(args, config, "rmax", MAX_CERT_DEGREE)
     if not 1 <= rmax <= MAX_CERT_DEGREE:
         raise ConfigError(f"rmax must lie in [1, {MAX_CERT_DEGREE}]")
-    threshold = float(merged_option(args, config, "threshold", 1e-6))
+    threshold = merged_option(args, config, "threshold", 1e-6)
     fmt = merged_option(args, config, "format", "csv")
     out = merged_option(args, config, "out")
 
-    certs = []
-    for r1 in range(1, rmax + 1):
-        for r2 in range(r1 + 1, rmax + 1):
-            certs.append(certify_separation_unequal(r1, r2, threshold))
-    for r1 in range(2, rmax + 1):
-        for r3 in range(1, r1):
-            certs.append(certify_separation_equal(r1, r3, threshold))
-
+    certs = list(_certificates(rmax, threshold))
     columns = ("case", "param1", "param2", "min_modulus", "threshold", "pass")
     rows = [
         (c.case_tag, c.params[0], c.params[1], c.min_modulus, c.threshold, c.passed)
@@ -436,12 +440,12 @@ def cmd_verify(args, config) -> int:
     pair_texts = [pair_text] if pair_text else list(DEFAULT_VERIFY_PAIRS)
     pairs = [normalize_pair(*parse_pair(t)) for t in pair_texts]
     primes = parse_primes(merged_option(args, config, "primes", DEFAULT_VERIFY_PRIMES))
-    budget = int(merged_option(args, config, "budget", DEFAULT_BUDGET))
+    budget = merged_option(args, config, "budget", DEFAULT_BUDGET)
     cache_dir = merged_option(args, config, "cache_dir", "ffprog-cache")
-    workers = int(merged_option(args, config, "workers", 1))
-    base_seed = int(merged_option(args, config, "seed", 0))
-    rmax = int(merged_option(args, config, "rmax", MAX_CERT_DEGREE))
-    threshold = float(merged_option(args, config, "threshold", 1e-6))
+    workers = merged_option(args, config, "workers", 1)
+    base_seed = merged_option(args, config, "seed", 0)
+    rmax = merged_option(args, config, "rmax", MAX_CERT_DEGREE)
+    threshold = merged_option(args, config, "threshold", 1e-6)
     out = merged_option(args, config, "out")
     only = merged_option(args, config, "only")
     selected = set(VERIFY_CHECKS)
@@ -542,18 +546,9 @@ def cmd_verify(args, config) -> int:
                     record("spectral", label, rel < 1e-8, f"rel={rel!r}")
 
     if "certificates" in selected:
-        ok = True
-        worst = float("inf")
-        for r1 in range(1, rmax + 1):
-            for r2 in range(r1 + 1, rmax + 1):
-                cert = certify_separation_unequal(r1, r2, threshold)
-                ok = ok and cert.passed
-                worst = min(worst, cert.min_modulus)
-        for r1 in range(2, rmax + 1):
-            for r3 in range(1, r1):
-                cert = certify_separation_equal(r1, r3, threshold)
-                ok = ok and cert.passed
-                worst = min(worst, cert.min_modulus)
+        certs = list(_certificates(rmax, threshold))
+        ok = all(c.passed for c in certs)
+        worst = min((c.min_modulus for c in certs), default=float("inf"))
         record("certificates", f"rmax={rmax}", ok, f"min_modulus={worst!r}")
 
     rows.sort(key=lambda r: (VERIFY_CHECKS.index(r[0]), r[1]))
@@ -623,13 +618,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        config = load_config(parser, args.command, args.config) if args.config else {}
+        return COMMANDS[args.command](args, config)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    config = {}
-    try:
-        if args.config:
-            config = load_config(args.config)
-        return COMMANDS[args.command](args, config)
     except (ConfigError, Inadmissible, BadDensity, NotPrime, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -55,6 +55,26 @@ def _indicator_int(subset: SubsetSpec) -> np.ndarray:
     return v
 
 
+def _shift_dots(f0, f1, s1, f2=None, s2=None) -> np.ndarray:
+    """rows[r] = sum_x f0[x] * f1[x + s1[r]] * f2[x + s2[r]], indices mod p.
+
+    Without f2 the last factor is dropped.  Shifts lie in [0, p), so each
+    shifted copy is a window of a doubled array (a view, no copy).  The
+    dtype follows the inputs: int64 indicators give exact integer rows.
+    """
+    p = len(f0)
+    d1 = np.concatenate([f1, f1])
+    rows = np.empty(len(s1), dtype=np.result_type(f0, f1, f1 if f2 is None else f2))
+    if f2 is None:
+        for r, a in enumerate(s1):
+            rows[r] = np.dot(f0, d1[a : a + p])
+    else:
+        d2 = np.concatenate([f2, f2])
+        for r, (a, b) in enumerate(zip(s1, s2)):
+            rows[r] = np.dot(f0 * d1[a : a + p], d2[b : b + p])
+    return rows
+
+
 def count_progressions(
     a: SubsetSpec,
     b: SubsetSpec,
@@ -75,11 +95,9 @@ def count_progressions(
     t1 = value_table(p1, field)
     t2 = value_table(p2, field)
     ia, ib, ic = _indicator_int(a), _indicator_int(b), _indicator_int(c)
-    n = 0
-    for y in range(p):
-        shifted_b = np.roll(ib, -int(t1[y]))
-        shifted_c = np.roll(ic, -int(t2[y]))
-        n += int(np.dot(ia * shifted_b, shifted_c))
+    # Exact in int64: each row counts x in [0, p), so the total is at most
+    # p^2 < 2^62 for p < 2^31.
+    n = int(_shift_dots(ia, ib, t1, ic, t2).sum())
     sizes = len(a.members) * len(b.members) * len(c.members)
     expected = Fraction(sizes, p)
     error = abs(Fraction(n) - expected)
@@ -106,13 +124,8 @@ def lambda3(
     p = field.p
     t1 = value_table(p1, field)
     t2 = value_table(p2, field)
-    partial = np.empty(p, dtype=np.float64)
-    for y in range(p):
-        partial[y] = np.dot(
-            f0.values * np.roll(f1.values, -int(t1[y])),
-            np.roll(f2.values, -int(t2[y])),
-        )
-    return float(partial.sum() / (p * p))
+    rows = _shift_dots(f0.values, f1.values, t1, f2.values, t2)
+    return float(rows.sum() / (p * p))
 
 
 def lambda2(
@@ -122,10 +135,8 @@ def lambda2(
     _check_same_field(field, f0, f1)
     p = field.p
     t1 = value_table(p1, field)
-    partial = np.empty(p, dtype=np.float64)
-    for y in range(p):
-        partial[y] = np.dot(f0.values, np.roll(f1.values, -int(t1[y])))
-    return float(partial.sum() / (p * p))
+    rows = _shift_dots(f0.values, f1.values, t1)
+    return float(rows.sum() / (p * p))
 
 
 def decomposition_residual(
@@ -169,9 +180,7 @@ def lambda_prime(f0: GridFunction, f1: GridFunction, fibers) -> float:
     if fibers.v_size == 0:
         raise EmptyVariety("fiber distribution has no points")
     p = f0.field.p
-    corr = np.empty(p, dtype=np.float64)
-    for shift in range(p):
-        corr[shift] = np.dot(f0.values, np.roll(f1.values, -shift))
+    corr = _shift_dots(f0.values, f1.values, np.arange(p))
     weighted = np.dot(fibers.c.astype(np.float64), corr)
     return float(weighted / (p * fibers.v_size))
 

@@ -1,9 +1,10 @@
 """Characters of F_p, the discrete Fourier transform, and character sums.
 
-The additive characters are psi_t(x) = exp(2*pi*i*t*x/p).  Transforms are
-computed by direct O(p^2) summation against a precomputed root-of-unity
-table; at desk scale (p up to about 10^4) this is both fast enough and easy
-to audit.  Fourier coefficients use the normalized average:
+The additive characters are psi_t(x) = exp(2*pi*i*t*x/p).  Every transform
+is one numpy FFT of length p (pocketfft, which handles prime lengths through
+Bluestein's algorithm), so a full spectrum costs O(p log p).  The tests
+compare each one against direct O(p^2) summation.  Fourier coefficients use
+the normalized average:
 
     fhat(t) = (1/p) * sum_x f(x) * conj(psi_t(x))
 
@@ -22,11 +23,6 @@ from .field import PrimeField, value_table
 from .setfun import GridFunction
 
 
-def root_table(p: int) -> np.ndarray:
-    """exp(2*pi*i*j/p) for j in [0, p)."""
-    return np.exp(2j * np.pi * np.arange(p) / p)
-
-
 @dataclass
 class Spectrum:
     """Fourier coefficients of a grid function; coeffs[t] pairs with psi_t."""
@@ -36,23 +32,14 @@ class Spectrum:
 
 
 def dft(f: GridFunction) -> Spectrum:
-    p = f.field.p
-    conj_roots = root_table(p).conj()
-    xs = np.arange(p, dtype=np.int64)
-    coeffs = np.empty(p, dtype=np.complex128)
-    for t in range(p):
-        coeffs[t] = np.dot(f.values, conj_roots[(t * xs) % p]) / p
+    """fhat(t) for every t; norm="forward" puts the 1/p on this side."""
+    coeffs = np.fft.fft(f.values, norm="forward")
     return Spectrum(field=f.field, coeffs=coeffs)
 
 
 def inverse_dft(spec: Spectrum) -> np.ndarray:
-    """Reconstruct the p function values from a Spectrum."""
-    p = spec.field.p
-    roots = root_table(p)
-    ts = np.arange(p, dtype=np.int64)
-    return np.array(
-        [np.dot(spec.coeffs, roots[(x * ts) % p]) for x in range(p)]
-    )
+    """Reconstruct the p function values: the unscaled sum_t fhat(t) psi_t(x)."""
+    return np.fft.ifft(spec.coeffs, norm="forward")
 
 
 def weil_ratio(poly, field: PrimeField) -> float:
@@ -69,13 +56,8 @@ def weil_ratio(poly, field: PrimeField) -> float:
         raise CharTooSmall(f"weil_ratio needs p > deg = {d}, got {field.p}")
     p = field.p
     hist = np.bincount(value_table(poly, field), minlength=p).astype(np.float64)
-    roots = root_table(p)
-    vs = np.arange(p, dtype=np.int64)
-    best = 0.0
-    for t in range(1, p):
-        s = abs(np.dot(hist, roots[(t * vs) % p])) / p
-        if s > best:
-            best = s
+    # |sum_v hist[v] psi_t(v)| is the modulus of fft(hist)[t] (hist is real)
+    best = np.abs(np.fft.fft(hist)[1:]).max() / p
     return best / (d / np.sqrt(p))
 
 
@@ -86,14 +68,8 @@ def char_sums_over_fibers(fibers) -> np.ndarray:
     """
     if fibers.v_size == 0:
         raise EmptyVariety("fiber distribution has no points")
-    p = fibers.field.p
-    roots = root_table(p)
-    c = fibers.c.astype(np.float64)
-    a_idx = np.arange(p, dtype=np.int64)
-    out = np.empty(p, dtype=np.complex128)
+    out = np.fft.ifft(fibers.c.astype(np.float64), norm="forward") / fibers.v_size
     out[0] = 1.0
-    for t in range(1, p):
-        out[t] = np.dot(c, roots[(t * a_idx) % p]) / fibers.v_size
     return out
 
 

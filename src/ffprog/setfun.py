@@ -120,7 +120,7 @@ def parse_subset(spec: str, field: PrimeField) -> SubsetSpec:
     members = []
     with open(s, "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
+            line = line.split("#", 1)[0].strip()
             if line:
                 members.append(int(line))
     return SubsetSpec.from_members(field, members)

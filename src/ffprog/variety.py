@@ -53,13 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CharTooSmall,
-    CorruptFiberFile,
-    NotPrime,
-    OutOfRange,
-    WorkBudgetExceeded,
-)
+from .errors import CharTooSmall, CorruptFiberFile, WorkBudgetExceeded
 from .field import PrimeField, field_new, value_table
 from .polys import IntPoly, NormalizedPair
 from .fourier import char_sums_over_fibers
@@ -113,6 +107,24 @@ def _csr_preimages(values: np.ndarray, p: int):
     return counts.astype(np.int64), offsets, order.astype(np.int64)
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write a file atomically: a same-directory temp file, then rename.
+
+    Readers see either the old file or the complete new one, even if the
+    writer dies midway or another worker writes the same path.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 @dataclass
 class FiberDistribution:
     """Exact fiber histogram of Q over the variety."""
@@ -164,26 +176,13 @@ class FiberDistribution:
         }
 
     def save(self, path) -> None:
-        """Write the file atomically: a same-directory temp file, then rename.
-
-        Readers see either the old file or the complete new one, even if the
-        writer dies midway or another worker saves the same path.
-        """
-        path = os.fspath(path)
-        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        """Write the file atomically (see write_text_atomic)."""
+        write_text_atomic(path, json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n")
 
     @classmethod
-    def load(cls, path, pair: NormalizedPair) -> "FiberDistribution":
-        """Read and check a fiber file; malformed content is CorruptFiberFile."""
+    def load(cls, path, pair: NormalizedPair, p: int) -> "FiberDistribution":
+        """Read and check the fiber file of (pair, p); a file for another pair
+        or prime, or malformed content, is CorruptFiberFile."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -195,9 +194,11 @@ class FiberDistribution:
                 )
             if raw.get("pair") != pair.key() or raw.get("pair_hash") != pair.pair_hash():
                 raise CorruptFiberFile(f"{path}: fiber file is for a different pair")
-            field = field_new(int(raw["p"]))
+            if raw.get("p") != p:
+                raise CorruptFiberFile(f"{path}: fiber file is for p={raw.get('p')!r}, not p={p}")
+            field = field_new(p)
             dist = cls.from_histogram(field, pair, raw["c"])
-        except (KeyError, TypeError, ValueError, OverflowError, NotPrime, OutOfRange) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorruptFiberFile(f"{path}: {type(exc).__name__}: {exc}") from exc
         for key, got in (
             ("v_size", dist.v_size),

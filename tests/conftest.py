@@ -33,6 +33,23 @@ def brute_points(pair, p):
     return out
 
 
+def root_table(p):
+    """exp(2*pi*i*j/p) for j in [0, p)."""
+    return np.exp(2j * np.pi * np.arange(p) / p)
+
+
+def direct_char_sums(weights, sign=1):
+    """sum_x weights[x] * exp(sign * 2*pi*i*t*x/p) for every t in [0, p).
+
+    The direct O(p^2) transform: the oracle for every numpy FFT in the
+    package (sign=-1 is the forward direction).
+    """
+    p = len(weights)
+    roots = root_table(p) if sign > 0 else root_table(p).conj()
+    xs = np.arange(p, dtype=np.int64)
+    return np.array([np.dot(weights, roots[(t * xs) % p]) for t in range(p)])
+
+
 def brute_histogram(pair, p):
     vq = brute_points(pair, p)
     c = np.zeros(p, dtype=np.int64)

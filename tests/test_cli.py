@@ -14,6 +14,7 @@ from ffprog.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_OK,
+    emit_rows,
     main,
     parse_primes,
     resolve_sets,
@@ -65,6 +66,15 @@ def test_parse_primes_list_dedupes_and_sorts():
 def test_parse_primes_empty_raises():
     with pytest.raises(ConfigError):
         parse_primes("4")
+
+
+def test_parse_primes_range_past_max_p_fails_fast():
+    # a walk over this range with Miller-Rabin would run for hours
+    with pytest.raises(ConfigError):
+        parse_primes("2..100000000000")
+    with pytest.raises(ConfigError):
+        parse_primes(f"{2**31}..3")
+    assert main(["count", "--pair", "y,y^2", "--primes", "2..100000000000"]) == EXIT_CONFIG
 
 
 def test_resolve_sets_random_fanout_bumps_seed():
@@ -212,6 +222,32 @@ def test_config_file_flags_override(tmp_path):
     assert rc == EXIT_OK
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [r["p"] for r in rows] == ["11"]
+
+
+def test_config_values_checked_like_flags(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    base = "pair = y,y^2\nprimes = 5\n"
+    for bad in ("format = xml", "workers = two", "oracle = psychic", "colour = blue"):
+        conf = tmp_path / "conf.txt"
+        conf.write_text(f"{base}{bad}\n")
+        assert main(["count", "--config", str(conf), "--out", str(out)]) == EXIT_CONFIG, bad
+        assert not out.exists()
+    conf.write_text(f"{base}format = json\n")
+    assert main(["count", "--config", str(conf), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["command"] == "count"
+    assert main(["count", "--config", str(conf), "--format", "csv", "--out", str(out)]) == EXIT_OK
+    assert out.read_text().startswith("p,pair,")
+
+
+def test_failed_report_write_keeps_old_report(tmp_path):
+    out = tmp_path / "r.csv"
+    emit_rows("count", {}, ("p",), [(5,)], "csv", str(out))
+    before = out.read_bytes()
+    # a lone surrogate cannot be encoded, so the write fails midway
+    with pytest.raises(UnicodeEncodeError):
+        emit_rows("count", {}, ("p",), [(7,), ("\ud800",)], "csv", str(out))
+    assert out.read_bytes() == before
+    assert os.listdir(tmp_path) == ["r.csv"]
 
 
 # --- variety and fiber cache -----------------------------------------------------
@@ -370,7 +406,7 @@ def test_variety_rebuilds_truncated_cache(tmp_path):
     assert main(args) == EXIT_OK
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     pair = normalize_pair(*parse_pair("y,y^2"))
-    assert FiberDistribution.load(path, pair).field.p == 7
+    assert FiberDistribution.load(path, pair, 7).field.p == 7
 
 
 def test_verify_truncated_cache_fails_rows(tmp_path, capsys):
@@ -394,6 +430,39 @@ def test_verify_truncated_cache_fails_rows(tmp_path, capsys):
     assert rc == EXIT_CHECK_FAILED
     failing = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL")}
     assert failing == {"sandwich"}
+
+
+def cached_file_for_other_prime(cache, p_from, p_to):
+    """Copy the valid fiber file of p_from to the name of p_to."""
+    (path,) = glob.glob(str(cache / f"fibers_*_{p_from}.json"))
+    wrong = path[: -len(f"{p_from}.json")] + f"{p_to}.json"
+    with open(path, "rb") as src, open(wrong, "wb") as dst:
+        dst.write(src.read())
+    return wrong
+
+
+def test_variety_rebuilds_cache_file_of_other_prime(tmp_path):
+    cache = tmp_path / "cache"
+    args = ["variety", "--pair", "y,y^2", "--primes", "7", "--cache-dir", str(cache)]
+    assert main(args + ["--out", str(tmp_path / "a.csv")]) == EXIT_OK
+    wrong = cached_file_for_other_prime(cache, 7, 11)
+    args[4] = "11"
+    assert main(args + ["--out", str(tmp_path / "b.csv")]) == EXIT_OK
+    rows = list(csv.DictReader((tmp_path / "b.csv").read_text().splitlines()))
+    assert [r["p"] for r in rows] == ["11"]
+    assert int(rows[0]["v_size"]) >= 11**4
+    assert json.loads(open(wrong).read())["p"] == 11
+
+
+def test_verify_cache_file_of_other_prime_fails_rows(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    base = ["verify", "--only", "sandwich", "--pair", "y,y^2", "--cache-dir", str(cache)]
+    assert main(base + ["--primes", "7"]) == EXIT_OK
+    cached_file_for_other_prime(cache, 7, 11)
+    capsys.readouterr()
+    assert main(base + ["--primes", "11"]) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert "FAIL sandwich" in out and "not p=11" in out
 
 
 def test_variety_past_exactness_limit_exits_budget(tmp_path, monkeypatch, capsys):

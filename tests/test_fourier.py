@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import brute_points
+from conftest import brute_points, direct_char_sums, root_table
 
 from ffprog import (
     CharTooSmall,
@@ -22,7 +22,7 @@ from ffprog import (
     lambda_prime_spectral,
     parse_poly,
     random_subset,
-    root_table,
+    value_table,
     weil_ratio,
 )
 
@@ -55,6 +55,50 @@ def test_dft_inversion_roundtrip():
     back = inverse_dft(dft(GridFunction(f, vals)))
     assert np.allclose(back.real, vals, atol=1e-9)
     assert np.all(np.abs(back.imag) < 1e-9)
+
+
+# p = 1009 is prime and above 1000, so numpy's FFT takes Bluestein's path.
+ORACLE_PRIMES = (31, 1009)
+
+
+def close_to_direct(got, want, weights):
+    # float64 rounding in either transform grows at most like p * eps * sum|w|
+    tol = len(weights) * 1e-15 * np.abs(weights).sum()
+    return np.allclose(got, want, rtol=0, atol=tol)
+
+
+def test_dft_and_inverse_match_direct_sum():
+    for p in ORACLE_PRIMES:
+        vals = np.random.default_rng(p).normal(size=p)
+        spec = dft(GridFunction(field_new(p), vals))
+        assert close_to_direct(spec.coeffs, direct_char_sums(vals, -1) / p, vals)
+        coeffs = spec.coeffs
+        assert close_to_direct(inverse_dft(spec), direct_char_sums(coeffs, 1), coeffs)
+
+
+def test_weil_ratio_matches_direct_sum():
+    for p in ORACLE_PRIMES:
+        for text in ("y^2", "y^3+y", "2*y^5"):
+            poly = parse_poly(text)
+            hist = np.bincount(value_table(poly, field_new(p)), minlength=p)
+            best = np.abs(direct_char_sums(hist.astype(np.float64))[1:]).max() / p
+            want = best / (poly.degree / p**0.5)
+            assert weil_ratio(poly, field_new(p)) == pytest.approx(want, rel=1e-12)
+
+
+def test_charsum_matches_direct_sum(standard_pairs, fibers_cache):
+    pair = standard_pairs["y,y^2"]
+    p = ORACLE_PRIMES[1]
+    rng = np.random.default_rng(3)
+    big = FiberDistribution.from_histogram(
+        field_new(p), pair, p**3 + rng.integers(0, p**3, size=p)
+    )
+    for fibers in (fibers_cache(pair, 31), fibers_cache(standard_pairs["y^2,y^3"], 13), big):
+        c = fibers.c.astype(np.float64)
+        want = direct_char_sums(c) / fibers.v_size
+        cs = char_sums_over_fibers(fibers)
+        assert cs[0] == 1.0
+        assert close_to_direct(cs[1:], want[1:], c / fibers.v_size)
 
 
 def test_parseval():

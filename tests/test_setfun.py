@@ -145,3 +145,9 @@ def test_parse_subset_file(tmp_path):
         parse_subset(str(bad), f)
     with pytest.raises(ValueError):
         parse_subset(str(tmp_path / "missing.txt"), f)
+
+
+def test_parse_subset_file_skips_comments(tmp_path):
+    path = tmp_path / "set.txt"
+    path.write_text("# residues of A\n3\n\n  # indented note\n8  # trailing note\n1\n")
+    assert parse_subset(str(path), field_new(13)).members == (1, 3, 8)

@@ -259,7 +259,7 @@ def test_save_load_roundtrip(standard_pairs, fibers_cache, tmp_path):
     d = fibers_cache(pair, 7)
     path = tmp_path / "fibers.json"
     d.save(path)
-    back = FiberDistribution.load(path, pair)
+    back = FiberDistribution.load(path, pair, 7)
     assert back.c.tolist() == d.c.tolist()
     assert back.v_size == d.v_size
     assert back.w_size == d.w_size
@@ -294,11 +294,20 @@ def test_load_rejects_tampering(standard_pairs, fibers_cache, tmp_path):
 
     for mutate in (bump_count, wrong_schema, wrong_wsize, wrong_digest):
         with pytest.raises(CorruptFiberFile):
-            FiberDistribution.load(tampered(path, tmp_path, mutate), pair)
+            FiberDistribution.load(tampered(path, tmp_path, mutate), pair, 7)
 
     other = standard_pairs["y,y^3"]
     with pytest.raises(CorruptFiberFile):
-        FiberDistribution.load(path, other)
+        FiberDistribution.load(path, other, 7)
+
+
+def test_load_rejects_other_prime(standard_pairs, fibers_cache, tmp_path):
+    pair = standard_pairs["y,y^2"]
+    path = tmp_path / "fibers.json"
+    fibers_cache(pair, 7).save(path)
+    assert FiberDistribution.load(path, pair, 7).field.p == 7
+    with pytest.raises(CorruptFiberFile):
+        FiberDistribution.load(path, pair, 11)
 
 
 def test_load_rejects_malformed_files(standard_pairs, fibers_cache, tmp_path):
@@ -328,7 +337,7 @@ def test_load_rejects_malformed_files(standard_pairs, fibers_cache, tmp_path):
         bad[-1].write_text(body)
     for bad_path in bad:
         with pytest.raises(CorruptFiberFile):
-            FiberDistribution.load(bad_path, pair)
+            FiberDistribution.load(bad_path, pair, 7)
 
 
 def test_failed_save_keeps_old_file(standard_pairs, fibers_cache, tmp_path, monkeypatch):
@@ -336,7 +345,7 @@ def test_failed_save_keeps_old_file(standard_pairs, fibers_cache, tmp_path, monk
     path = tmp_path / "fibers.json"
     fibers_cache(pair, 7).save(path)
     before = path.read_bytes()
-    # serialisation fails after the first key has been written
+    # serialisation fails before the new file is complete
     monkeypatch.setattr(
         FiberDistribution, "to_json_dict", lambda self: {"c": [1], "z": object()}
     )
