@@ -73,7 +73,6 @@ EXIT_CHAR = 3
 EXIT_BUDGET = 4
 
 DEFAULT_VERIFY_PAIRS = ("y,y^2", "y^2,y^3", "y,y^3", "2*y^2,y^2+y")
-DEFAULT_VERIFY_PRIMES = "31,41,53"
 VERIFY_CHECKS = (
     "decomposition",
     "prop22",
@@ -84,13 +83,16 @@ VERIFY_CHECKS = (
     "certificates",
 )
 FIBER_CHECKS = {"prop22", "spectral", "sandwich"}
+# Longest '--primes a..b' range; each candidate costs a Miller-Rabin test
+# (a few microseconds), so the walk stays well under a second.
+MAX_PRIME_RANGE = 10**5
 
 
 class ConfigError(Exception):
     pass
 
 
-# --- configuration -----------------------------------------------------------
+# --- flag types ------------------------------------------------------------------
 
 
 def parse_primes(text: str) -> list[int]:
@@ -100,6 +102,10 @@ def parse_primes(text: str) -> list[int]:
         lo, hi = sorted(int(s) for s in text.split("..", 1))
         if hi >= MAX_P:
             raise ConfigError(f"prime range {text!r} must stay below 2**31")
+        if hi - lo >= MAX_PRIME_RANGE:
+            raise ConfigError(
+                f"prime range {text!r} spans more than {MAX_PRIME_RANGE} integers"
+            )
         candidates = range(lo, hi + 1)
     else:
         candidates = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -109,9 +115,98 @@ def parse_primes(text: str) -> list[int]:
     return primes
 
 
-def load_config(parser: argparse.ArgumentParser, command: str, path: str) -> dict:
-    """Values of a flat key = value file, checked by the same types and
-    choices as the flags; an unknown key or a bad value exits like a bad flag."""
+def parse_checks(text: str) -> set[str]:
+    """Comma list of verify checks; verify runs all of them for an empty list."""
+    selected = {tok.strip() for tok in text.split(",") if tok.strip()}
+    unknown = selected - set(VERIFY_CHECKS)
+    if unknown:
+        raise ConfigError(
+            f"unknown checks {sorted(unknown)}; pick from {list(VERIFY_CHECKS)}"
+        )
+    return selected
+
+
+def cert_degree(text: str) -> int:
+    rmax = int(text)
+    if not 1 <= rmax <= MAX_CERT_DEGREE:
+        raise ConfigError(f"rmax must lie in [1, {MAX_CERT_DEGREE}]")
+    return rmax
+
+
+def work_budget(text: str) -> int:
+    budget = int(text)
+    if budget < 1:
+        raise ConfigError("budget must be >= 1")
+    return budget
+
+
+# argparse spec of every flag; the flag --cache-dir is the key cache_dir.
+FLAGS = {
+    "pair": dict(help='polynomial pair, e.g. "y,y^2"'),
+    "poly": dict(help='single polynomial, e.g. "y^2"'),
+    "primes": dict(type=parse_primes, help='"a..b" or comma list; non-primes dropped'),
+    "sets": dict(help="subset specs: files or random:<density>:<seed>"),
+    "seed": dict(type=int, help="base seed for the seeded checks"),
+    "budget": dict(type=work_budget, help="work cap for fiber enumeration (>= 1)"),
+    "workers": dict(type=int, help="parallel fiber jobs"),
+    "out": dict(help="write the report here instead of stdout"),
+    "format": dict(choices=("json", "csv"), help="report format"),
+    "config": dict(help="flat key=value config file; flags win"),
+    "cache_dir": dict(help="fiber file cache directory"),
+    "oracle": dict(choices=sorted(ENUMERATORS), help="enumerator to use"),
+    "only": dict(type=parse_checks, help="comma list of checks to run"),
+    "rmax": dict(type=cert_degree, help=f"certificate degree cap, 1..{MAX_CERT_DEGREE}"),
+    "threshold": dict(type=float, help="certificate threshold"),
+}
+
+REQUIRED = object()  # a default meaning "the subcommand exits 2 without this flag"
+
+# The flags each subcommand takes, with their defaults there; every
+# subcommand also takes --config.
+COMMAND_FLAGS = {
+    "count": dict(
+        pair=REQUIRED, primes="31..101", sets="random:0.5:0", format="csv", out=None
+    ),
+    "variety": dict(
+        pair=REQUIRED, primes="7,11,13", budget=DEFAULT_BUDGET, cache_dir="ffprog-cache",
+        workers=1, oracle="fast", format="csv", out=None,
+    ),
+    "charsum": dict(
+        pair=REQUIRED, primes="7,11,13", budget=DEFAULT_BUDGET, cache_dir="ffprog-cache",
+        format="csv", out=None,
+    ),
+    "verify": dict(
+        pair=None, primes="31,41,53", budget=DEFAULT_BUDGET, cache_dir="ffprog-cache",
+        workers=1, seed=0, only=None, rmax=MAX_CERT_DEGREE, threshold=1e-6, out=None,
+    ),
+    "expander": dict(
+        poly=REQUIRED, primes="31..101", sets="random:0.5:0", format="csv", out=None
+    ),
+    "normalize": dict(pair=REQUIRED, out=None),
+    "certify": dict(rmax=MAX_CERT_DEGREE, threshold=1e-6, format="csv", out=None),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ffprog",
+        description="Progression counting and variety experiments over prime fields.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, defaults in COMMAND_FLAGS.items():
+        p = sub.add_parser(command)
+        for name, default in {**defaults, "config": None}.items():
+            p.add_argument(
+                "--" + name.replace("_", "-"),
+                default=None if default is REQUIRED else default,
+                **FLAGS[name],
+            )
+    return parser
+
+
+def load_config(path: str) -> list[str]:
+    """A flat key = value file as '--key=value' tokens, so its values go
+    through the same parser, types and choices as the flags."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path!r}")
     tokens = []
@@ -124,17 +219,7 @@ def load_config(parser: argparse.ArgumentParser, command: str, path: str) -> dic
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
             tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
-    parsed = vars(parser.parse_args([command, *tokens]))
-    return {k: v for k, v in parsed.items() if v is not None and k != "command"}
-
-
-def merged_option(args, config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+    return tokens
 
 
 def resolve_sets(spec_text: str, field, how_many: int) -> list:
@@ -193,25 +278,25 @@ def get_fibers(
     return dist
 
 
-def warm_fibers(pairs, primes, budget, cache_dir, workers, enumerator=None):
+def warm_fibers(
+    pairs, primes, budget, cache_dir, workers, enumerator=None, strict_cache=False
+):
+    """get_fibers for every (pair, p), keyed by (pair.key(), p).  With
+    strict_cache a corrupt cached file yields its CorruptFiberFile as the value."""
+
+    def fetch(job):
+        try:
+            return get_fibers(*job, budget, cache_dir, enumerator, strict_cache)
+        except CorruptFiberFile as exc:
+            return exc
+
     jobs = [(pair, p) for pair in pairs for p in primes]
-    results = {}
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                (pair.key(), p): pool.submit(
-                    get_fibers, pair, p, budget, cache_dir, enumerator
-                )
-                for pair, p in jobs
-            }
-            for key, fut in futures.items():
-                results[key] = fut.result()
+            results = list(pool.map(fetch, jobs))
     else:
-        for pair, p in jobs:
-            results[(pair.key(), p)] = get_fibers(
-                pair, p, budget, cache_dir, enumerator
-            )
-    return results
+        results = [fetch(job) for job in jobs]
+    return {(pair.key(), p): dist for (pair, p), dist in zip(jobs, results)}
 
 
 # --- report emission -------------------------------------------------------------
@@ -219,7 +304,10 @@ def warm_fibers(pairs, primes, budget, cache_dir, workers, enumerator=None):
 
 def _write_report(text: str, out: str | None) -> None:
     if out:
-        write_text_atomic(out, text)
+        try:
+            write_text_atomic(out, text)
+        except OSError as exc:  # a missing or unwritable directory, say
+            raise ConfigError(f"cannot write --out {out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -247,17 +335,9 @@ def emit_json(doc: dict, out: str | None) -> None:
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_count(args, config) -> int:
-    pair_text = merged_option(args, config, "pair")
-    if not pair_text:
-        raise ConfigError("count needs --pair")
-    p1, p2 = parse_pair(pair_text)
+def cmd_count(args) -> int:
+    p1, p2 = parse_pair(args.pair)
     pair = normalize_pair(p1, p2)
-    primes = parse_primes(merged_option(args, config, "primes", "31..101"))
-    sets_text = merged_option(args, config, "sets", "random:0.5:0")
-    fmt = merged_option(args, config, "format", "csv")
-    out = merged_option(args, config, "out")
-
     columns = (
         "p",
         "pair",
@@ -270,10 +350,10 @@ def cmd_count(args, config) -> int:
         "ratio",
     )
     rows = []
-    for p in primes:
+    for p in args.primes:
         field = field_new(p)
         pair.require_char(field)
-        a, b, c = resolve_sets(sets_text, field, 3)
+        a, b, c = resolve_sets(args.sets, field, 3)
         rep = count_progressions(a, b, c, p1, p2, field)
         sizes = a.size * b.size * c.size
         denom = sizes**0.5 * p ** (0.5 - 1 / 16)
@@ -281,7 +361,7 @@ def cmd_count(args, config) -> int:
         rows.append(
             (
                 p,
-                pair_text,
+                args.pair,
                 a.size,
                 b.size,
                 c.size,
@@ -291,97 +371,64 @@ def cmd_count(args, config) -> int:
                 ratio,
             )
         )
-    emit_rows("count", {"pair": pair_text}, columns, rows, fmt, out)
+    emit_rows("count", {"pair": args.pair}, columns, rows, args.format, args.out)
     return EXIT_OK
 
 
-def cmd_variety(args, config) -> int:
-    pair_text = merged_option(args, config, "pair")
-    if not pair_text:
-        raise ConfigError("variety needs --pair")
-    pair = normalize_pair(*parse_pair(pair_text))
-    primes = parse_primes(merged_option(args, config, "primes", "7,11,13"))
-    budget = merged_option(args, config, "budget", DEFAULT_BUDGET)
-    if budget < 1:
-        raise ConfigError("budget must be >= 1")
-    cache_dir = merged_option(args, config, "cache_dir", "ffprog-cache")
-    workers = merged_option(args, config, "workers", 1)
-    oracle = merged_option(args, config, "oracle", "fast")
-    fmt = merged_option(args, config, "format", "csv")
-    out = merged_option(args, config, "out")
-
+def cmd_variety(args) -> int:
+    pair = normalize_pair(*parse_pair(args.pair))
+    primes = args.primes
     for p in primes:
         pair.require_char(field_new(p))
     fibers = warm_fibers(
-        [pair], primes, budget, cache_dir, workers, ENUMERATORS[oracle]
+        [pair], primes, args.budget, args.cache_dir, args.workers, ENUMERATORS[args.oracle]
     )
     report = growth_report(
         pair,
         primes,
-        budget=budget,
+        budget=args.budget,
         fibers_by_p={p: fibers[(pair.key(), p)] for p in primes},
     )
     rows = [tuple(r.to_json_dict()[c] for c in CSV_COLUMNS) for r in report.rows]
-    emit_rows("variety", {"pair": pair_text}, CSV_COLUMNS, rows, fmt, out)
+    emit_rows("variety", {"pair": args.pair}, CSV_COLUMNS, rows, args.format, args.out)
     return EXIT_OK
 
 
-def cmd_charsum(args, config) -> int:
-    pair_text = merged_option(args, config, "pair")
-    if not pair_text:
-        raise ConfigError("charsum needs --pair")
-    pair = normalize_pair(*parse_pair(pair_text))
-    primes = parse_primes(merged_option(args, config, "primes", "7,11,13"))
-    budget = merged_option(args, config, "budget", DEFAULT_BUDGET)
-    cache_dir = merged_option(args, config, "cache_dir", "ffprog-cache")
-    fmt = merged_option(args, config, "format", "csv")
-    out = merged_option(args, config, "out")
-
+def cmd_charsum(args) -> int:
+    pair = normalize_pair(*parse_pair(args.pair))
     columns = ("p", "t", "real", "imag", "modulus")
     rows = []
-    for p in primes:
+    for p in args.primes:
         pair.require_char(field_new(p))
-        dist = get_fibers(pair, p, budget, cache_dir)
+        dist = get_fibers(pair, p, args.budget, args.cache_dir)
         cs = char_sums_over_fibers(dist)
         for t in range(p):
             rows.append(
                 (p, t, float(cs[t].real), float(cs[t].imag), float(abs(cs[t])))
             )
-    emit_rows("charsum", {"pair": pair_text}, columns, rows, fmt, out)
+    emit_rows("charsum", {"pair": args.pair}, columns, rows, args.format, args.out)
     return EXIT_OK
 
 
-def cmd_expander(args, config) -> int:
-    poly_text = merged_option(args, config, "poly")
-    if not poly_text:
-        raise ConfigError("expander needs --poly")
-    poly = parse_poly(poly_text)
-    primes = parse_primes(merged_option(args, config, "primes", "31..101"))
-    sets_text = merged_option(args, config, "sets", "random:0.5:0")
-    fmt = merged_option(args, config, "format", "csv")
-    out = merged_option(args, config, "out")
-
+def cmd_expander(args) -> int:
+    poly = parse_poly(args.poly)
     columns = ("p", "a_size", "b_size", "image_size", "image_over_p")
     rows = []
-    for p in primes:
+    for p in args.primes:
         field = field_new(p)
-        a, b = resolve_sets(sets_text, field, 2)
+        a, b = resolve_sets(args.sets, field, 2)
         size = expander_image(a, b, poly, field)
         rows.append((p, a.size, b.size, size, size / p))
-    emit_rows("expander", {"poly": poly_text}, columns, rows, fmt, out)
+    emit_rows("expander", {"poly": args.poly}, columns, rows, args.format, args.out)
     return EXIT_OK
 
 
-def cmd_normalize(args, config) -> int:
-    pair_text = merged_option(args, config, "pair")
-    if not pair_text:
-        raise ConfigError("normalize needs --pair")
-    pair = normalize_pair(*parse_pair(pair_text))
-    out = merged_option(args, config, "out")
+def cmd_normalize(args) -> int:
+    pair = normalize_pair(*parse_pair(args.pair))
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "normalize",
-        "input": pair_text,
+        "input": args.pair,
         "p1": str(pair.p1),
         "p2": str(pair.p2),
         "p2prime": str(pair.p2prime),
@@ -394,7 +441,7 @@ def cmd_normalize(args, config) -> int:
         "replaced": pair.replaced,
         "pair_hash": pair.pair_hash(),
     }
-    emit_json(doc, out)
+    emit_json(doc, args.out)
     return EXIT_OK
 
 
@@ -408,21 +455,14 @@ def _certificates(rmax: int, threshold: float):
             yield certify_separation_equal(r1, r3, threshold)
 
 
-def cmd_certify(args, config) -> int:
-    rmax = merged_option(args, config, "rmax", MAX_CERT_DEGREE)
-    if not 1 <= rmax <= MAX_CERT_DEGREE:
-        raise ConfigError(f"rmax must lie in [1, {MAX_CERT_DEGREE}]")
-    threshold = merged_option(args, config, "threshold", 1e-6)
-    fmt = merged_option(args, config, "format", "csv")
-    out = merged_option(args, config, "out")
-
-    certs = list(_certificates(rmax, threshold))
+def cmd_certify(args) -> int:
+    certs = list(_certificates(args.rmax, args.threshold))
     columns = ("case", "param1", "param2", "min_modulus", "threshold", "pass")
     rows = [
         (c.case_tag, c.params[0], c.params[1], c.min_modulus, c.threshold, c.passed)
         for c in certs
     ]
-    emit_rows("certify", {"rmax": rmax}, columns, rows, fmt, out)
+    emit_rows("certify", {"rmax": args.rmax}, columns, rows, args.format, args.out)
     return EXIT_OK if all(c.passed for c in certs) else EXIT_CHECK_FAILED
 
 
@@ -435,27 +475,12 @@ def _verify_instances(pairs, primes, base_seed):
                 yield i, pair, p, seed
 
 
-def cmd_verify(args, config) -> int:
-    pair_text = merged_option(args, config, "pair")
-    pair_texts = [pair_text] if pair_text else list(DEFAULT_VERIFY_PAIRS)
+def cmd_verify(args) -> int:
+    pair_texts = [args.pair] if args.pair else list(DEFAULT_VERIFY_PAIRS)
     pairs = [normalize_pair(*parse_pair(t)) for t in pair_texts]
-    primes = parse_primes(merged_option(args, config, "primes", DEFAULT_VERIFY_PRIMES))
-    budget = merged_option(args, config, "budget", DEFAULT_BUDGET)
-    cache_dir = merged_option(args, config, "cache_dir", "ffprog-cache")
-    workers = merged_option(args, config, "workers", 1)
-    base_seed = merged_option(args, config, "seed", 0)
-    rmax = merged_option(args, config, "rmax", MAX_CERT_DEGREE)
-    threshold = merged_option(args, config, "threshold", 1e-6)
-    out = merged_option(args, config, "out")
-    only = merged_option(args, config, "only")
-    selected = set(VERIFY_CHECKS)
-    if only:
-        selected = {tok.strip() for tok in only.split(",") if tok.strip()}
-        unknown = selected - set(VERIFY_CHECKS)
-        if unknown:
-            raise ConfigError(
-                f"unknown checks {sorted(unknown)}; pick from {list(VERIFY_CHECKS)}"
-            )
+    keys = [pair.key() for pair in pairs]
+    primes = args.primes
+    selected = args.only or set(VERIFY_CHECKS)
 
     for pair in pairs:
         for p in primes:
@@ -463,16 +488,10 @@ def cmd_verify(args, config) -> int:
 
     # fiber distributions, via the cache; corruption surfaces as check failures
     fibers = {}
-    fiber_errors = {}
     if selected & FIBER_CHECKS:
-        for i, pair in enumerate(pairs):
-            for p in primes:
-                try:
-                    fibers[(i, p)] = get_fibers(
-                        pair, p, budget, cache_dir, strict_cache=True
-                    )
-                except CorruptFiberFile as exc:
-                    fiber_errors[(i, p)] = str(exc)
+        fibers = warm_fibers(
+            pairs, primes, args.budget, args.cache_dir, args.workers, strict_cache=True
+        )
 
     rows = []
 
@@ -500,21 +519,19 @@ def cmd_verify(args, config) -> int:
                     worst <= 1.0 + 1e-9,
                     f"max_ratio={worst!r}",
                 )
-        for p in primes:
-            key = (i, p)
-            tag = f"{label} p={p}"
-            if "sandwich" in selected:
-                if key in fiber_errors:
-                    record("sandwich", tag, False, fiber_errors[key])
+        if "sandwich" in selected:
+            for p in primes:
+                d = fibers[(keys[i], p)]
+                tag = f"{label} p={p}"
+                if isinstance(d, CorruptFiberFile):
+                    record("sandwich", tag, False, str(d))
                 else:
-                    d = fibers[key]
                     ok = p**4 <= d.v_size <= pair.r1**2 * pair.r2**2 * p**4
                     record("sandwich", tag, ok, f"v_size={d.v_size}")
 
-    for i, pair, p, seed in _verify_instances(pairs, primes, base_seed):
+    for i, pair, p, seed in _verify_instances(pairs, primes, args.seed):
         label = f"{pair_texts[i]} p={p} seed={seed}"
         field = field_new(p)
-        key = (i, p)
         if "decomposition" in selected:
             a = random_subset(field, 0.5, seed)
             b = random_subset(field, 0.5, seed + 1)
@@ -525,12 +542,12 @@ def cmd_verify(args, config) -> int:
             f0 = balance(random_subset(field, 0.5, seed))
             f1 = balance(random_subset(field, 0.5, seed + 1))
             f2 = balance(random_subset(field, 0.5, seed + 2))
-            if key in fiber_errors:
+            dist = fibers[(keys[i], p)]
+            if isinstance(dist, CorruptFiberFile):
                 for check in ("prop22", "spectral"):
                     if check in selected:
-                        record(check, label, False, fiber_errors[key])
+                        record(check, label, False, str(dist))
             else:
-                dist = fibers[key]
                 if "prop22" in selected:
                     lhs, rhs = prop22_sides(f0, f1, f2, pair, dist)
                     record(
@@ -546,10 +563,10 @@ def cmd_verify(args, config) -> int:
                     record("spectral", label, rel < 1e-8, f"rel={rel!r}")
 
     if "certificates" in selected:
-        certs = list(_certificates(rmax, threshold))
+        certs = list(_certificates(args.rmax, args.threshold))
         ok = all(c.passed for c in certs)
         worst = min((c.min_modulus for c in certs), default=float("inf"))
-        record("certificates", f"rmax={rmax}", ok, f"min_modulus={worst!r}")
+        record("certificates", f"rmax={args.rmax}", ok, f"min_modulus={worst!r}")
 
     rows.sort(key=lambda r: (VERIFY_CHECKS.index(r[0]), r[1]))
     failed = [r for r in rows if r[2] == "FAIL"]
@@ -560,7 +577,7 @@ def cmd_verify(args, config) -> int:
         print(line)
     print(f"{len(rows) - len(failed)}/{len(rows)} checks passed")
 
-    if out:
+    if args.out:
         doc = {
             "schema": SCHEMA_VERSION,
             "command": "verify",
@@ -570,37 +587,8 @@ def cmd_verify(args, config) -> int:
             ],
             "passed": not failed,
         }
-        emit_json(doc, out)
+        emit_json(doc, args.out)
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
-
-
-# --- argument parsing -------------------------------------------------------------
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ffprog",
-        description="Progression counting and variety experiments over prime fields.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("count", "variety", "charsum", "verify", "expander", "normalize", "certify"):
-        p = sub.add_parser(name)
-        p.add_argument("--pair", help='polynomial pair, e.g. "y,y^2"')
-        p.add_argument("--poly", help='single polynomial (expander), e.g. "y^2"')
-        p.add_argument("--primes", help='range "a..b" or comma list; non-primes dropped')
-        p.add_argument("--sets", help="subset specs: files or random:<density>:<seed>")
-        p.add_argument("--seed", type=int, help="base seed for seeded sweeps")
-        p.add_argument("--budget", type=int, help="work cap for fiber enumeration")
-        p.add_argument("--workers", type=int, help="parallel enumeration jobs")
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), help="report format")
-        p.add_argument("--config", help="flat key=value config file; flags win")
-        p.add_argument("--cache-dir", dest="cache_dir", help="fiber file cache directory")
-        p.add_argument("--oracle", choices=sorted(ENUMERATORS), help="enumerator to use")
-        p.add_argument("--only", help="verify: comma list of checks to run")
-        p.add_argument("--rmax", type=int, help="certificate degree cap (<= 12)")
-        p.add_argument("--threshold", type=float, help="certificate threshold")
-    return parser
 
 
 COMMANDS = {
@@ -615,11 +603,18 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = load_config(parser, args.command, args.config) if args.config else {}
-        return COMMANDS[args.command](args, config)
+        if args.config:
+            # the file's tokens go first; argparse keeps the last value, so flags win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *load_config(args.config), *argv[at:]])
+        for name, default in COMMAND_FLAGS[args.command].items():
+            if default is REQUIRED and not getattr(args, name):
+                raise ConfigError(f"{args.command} needs --{name}")
+        return COMMANDS[args.command](args)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     except (ConfigError, Inadmissible, BadDensity, NotPrime, ValueError) as exc:

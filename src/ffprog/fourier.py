@@ -58,7 +58,7 @@ def weil_ratio(poly, field: PrimeField) -> float:
     hist = np.bincount(value_table(poly, field), minlength=p).astype(np.float64)
     # |sum_v hist[v] psi_t(v)| is the modulus of fft(hist)[t] (hist is real)
     best = np.abs(np.fft.fft(hist)[1:]).max() / p
-    return best / (d / np.sqrt(p))
+    return float(best / (d / np.sqrt(p)))
 
 
 def char_sums_over_fibers(fibers) -> np.ndarray:

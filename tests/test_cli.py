@@ -9,11 +9,13 @@ import os
 import pytest
 
 from ffprog.cli import (
+    COMMAND_FLAGS,
     EXIT_BUDGET,
     EXIT_CHAR,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_OK,
+    FLAGS,
     emit_rows,
     main,
     parse_primes,
@@ -75,6 +77,18 @@ def test_parse_primes_range_past_max_p_fails_fast():
     with pytest.raises(ConfigError):
         parse_primes(f"{2**31}..3")
     assert main(["count", "--pair", "y,y^2", "--primes", "2..100000000000"]) == EXIT_CONFIG
+
+
+def test_parse_primes_range_length_is_capped():
+    # below 2**31, yet about 2**31 Miller-Rabin candidates: hours without the cap
+    with pytest.raises(ConfigError):
+        parse_primes("3..2147483647")
+    with pytest.raises(ConfigError):
+        parse_primes("2..100002")  # 100001 integers
+    assert len(parse_primes("2..100001")) == 9592
+    primes = parse_primes("10007..30011")
+    assert (primes[0], primes[-1]) == (10007, 30011)
+    assert main(["count", "--pair", "y,y^2", "--primes", "3..2147483647"]) == EXIT_CONFIG
 
 
 def test_resolve_sets_random_fanout_bumps_seed():
@@ -237,6 +251,16 @@ def test_config_values_checked_like_flags(tmp_path, capsys):
     assert json.loads(out.read_text())["command"] == "count"
     assert main(["count", "--config", str(conf), "--format", "csv", "--out", str(out)]) == EXIT_OK
     assert out.read_text().startswith("p,pair,")
+
+
+def test_out_into_missing_directory_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    rc = main(["certify", "--rmax", "2", "--out", str(missing / "x.csv")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not missing.exists()
+    assert os.listdir(tmp_path) == []
 
 
 def test_failed_report_write_keeps_old_report(tmp_path):
@@ -542,6 +566,37 @@ def test_verify_tampered_fiber_file_fails_spectral(tmp_path, capsys):
     assert "lm" in passing
 
 
+def test_verify_weil_detail_is_a_plain_float(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    args = ["verify", "--only", "weil", "--pair", "y,y^2", "--primes", "7,11"]
+    assert main([*args, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    details = [row["detail"] for row in json.loads(out.read_text())["rows"]]
+    assert details
+    for detail in details:
+        assert "np." not in detail
+        key, value = detail.split("=")
+        assert key == "max_ratio" and 0 < float(value) <= 1
+
+
+def test_verify_workers_do_not_change_report(tmp_path, capsys):
+    reports, fiber_files = {}, {}
+    for workers in ("1", "2"):
+        cache = tmp_path / f"cache{workers}"
+        out = tmp_path / f"verify{workers}.json"
+        args = ["verify", "--primes", "7,11", "--cache-dir", str(cache), "--out", str(out)]
+        assert main([*args, "--workers", workers]) == EXIT_OK
+        reports[workers] = out.read_bytes()
+        fiber_files[workers] = {
+            os.path.basename(path): open(path, "rb").read()
+            for path in glob.glob(str(cache / "fibers_*.json"))
+        }
+    capsys.readouterr()
+    assert reports["1"] == reports["2"]
+    assert len(fiber_files["1"]) == 8
+    assert fiber_files["1"] == fiber_files["2"]
+
+
 def test_verify_report_file(tmp_path, capsys):
     out = tmp_path / "verify.json"
     rc = main(
@@ -636,3 +691,83 @@ def test_certify_all_pass(tmp_path):
 
 def test_certify_rmax_out_of_range():
     assert main(["certify", "--rmax", "13"]) == EXIT_CONFIG
+
+
+# --- the flag table -------------------------------------------------------------
+
+
+def quick_args(command, tmp_path):
+    """A fast valid invocation of each subcommand.  It sets neither --rmax nor
+    --budget, so a config file's value for them is not overridden."""
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    return {
+        "count": ["--pair", "y,y^2", "--primes", "5"],
+        "variety": ["--pair", "y,y^2", "--primes", "5", *cache],
+        "charsum": ["--pair", "y,y^2", "--primes", "5", *cache],
+        "verify": ["--pair", "y,y^2", "--primes", "7", "--only", "lm,certificates", *cache],
+        "expander": ["--poly", "y^2", "--primes", "5"],
+        "normalize": ["--pair", "y,y^2"],
+        "certify": [],
+    }[command]
+
+
+def flag_values(tmp_path):
+    """A value each flag accepts, for every subcommand that takes it."""
+    return {
+        "pair": "y,y^2",
+        "poly": "y^2",
+        "primes": "7",
+        "sets": "random:0.5:1",
+        "seed": "1",
+        "budget": "1000000000",
+        "workers": "1",
+        "out": str(tmp_path / "report.txt"),
+        "format": "json",
+        "cache_dir": str(tmp_path / "cache"),
+        "oracle": "naive8",
+        "only": "lm",
+        "rmax": "3",
+        "threshold": "1e-7",
+    }
+
+
+def as_flag(name):
+    return "--" + name.replace("_", "-")
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_subcommand_takes_exactly_its_flags(command, tmp_path, capsys):
+    base = [command, *quick_args(command, tmp_path)]
+    values = flag_values(tmp_path)
+    conf = tmp_path / "conf.txt"
+    taken = set(COMMAND_FLAGS[command])
+    for name in sorted(taken):
+        assert main([*base, as_flag(name), values[name]]) == EXIT_OK, name
+        conf.write_text(f"{name} = {values[name]}\n")
+        assert main([*base, "--config", str(conf)]) == EXIT_OK, name
+    # every other flag belongs to another subcommand, and is refused here
+    for name in sorted(set(FLAGS) - taken - {"config"}):
+        assert any(name in flags for flags in COMMAND_FLAGS.values())
+        assert main([*base, as_flag(name), values[name]]) == EXIT_CONFIG, name
+        conf.write_text(f"{name} = {values[name]}\n")
+        assert main([*base, "--config", str(conf)]) == EXIT_CONFIG, name
+    capsys.readouterr()
+
+
+RANGE_CASES = [
+    (command, name, value)
+    for command, flags in sorted(COMMAND_FLAGS.items())
+    for name, value in (("rmax", "0"), ("rmax", "13"), ("budget", "0"))
+    if name in flags
+]
+
+
+@pytest.mark.parametrize("command,name,value", RANGE_CASES)
+def test_range_checked_wherever_flag_is_taken(command, name, value, tmp_path, capsys):
+    base = [command, *quick_args(command, tmp_path)]
+    assert main([*base, as_flag(name), value]) == EXIT_CONFIG
+    assert f"{name} must" in capsys.readouterr().err
+    conf = tmp_path / "conf.txt"
+    conf.write_text(f"{name} = {value}\n")
+    assert main([*base, "--config", str(conf)]) == EXIT_CONFIG
+    assert f"{name} must" in capsys.readouterr().err

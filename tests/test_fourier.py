@@ -119,6 +119,12 @@ def test_weil_linear_vanishes():
     assert weil_ratio(parse_poly("y"), field_new(13)) < 1e-12
 
 
+def test_weil_ratio_is_python_float():
+    # a numpy scalar's repr leaks into the verify report as np.float64(...)
+    for text in ("y", "y^2", "y^3+y"):
+        assert type(weil_ratio(parse_poly(text), field_new(13))) is float
+
+
 def test_weil_square_mod_7_is_half():
     # independent oracle: direct 7-term sums per character
     p = 7
