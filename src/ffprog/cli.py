@@ -49,7 +49,7 @@ from .errors import (
 from .field import MAX_P, field_new, is_prime
 from .fourier import char_sums_over_fibers, lambda_prime_spectral, weil_ratio
 from .polys import build_aux_system, normalize_pair, parse_pair, parse_poly
-from .setfun import balance, parse_subset, random_subset
+from .setfun import balance, parse_random_spec, parse_subset, random_subset
 from .symbolic import (
     MAX_CERT_DEGREE,
     certify_separation_equal,
@@ -133,11 +133,17 @@ def cert_degree(text: str) -> int:
     return rmax
 
 
-def work_budget(text: str) -> int:
-    budget = int(text)
-    if budget < 1:
-        raise ConfigError("budget must be >= 1")
-    return budget
+def at_least_one(name: str):
+    """Flag type: an integer >= 1, else a ConfigError that names the flag."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1")
+        return value
+
+    parse.__name__ = name  # argparse's "invalid <name> value" message
+    return parse
 
 
 # argparse spec of every flag; the flag --cache-dir is the key cache_dir.
@@ -147,8 +153,8 @@ FLAGS = {
     "primes": dict(type=parse_primes, help='"a..b" or comma list; non-primes dropped'),
     "sets": dict(help="subset specs: files or random:<density>:<seed>"),
     "seed": dict(type=int, help="base seed for the seeded checks"),
-    "budget": dict(type=work_budget, help="work cap for fiber enumeration (>= 1)"),
-    "workers": dict(type=int, help="parallel fiber jobs"),
+    "budget": dict(type=at_least_one("budget"), help="work cap for fiber enumeration (>= 1)"),
+    "workers": dict(type=at_least_one("workers"), help="parallel fiber jobs (>= 1)"),
     "out": dict(help="write the report here instead of stdout"),
     "format": dict(choices=("json", "csv"), help="report format"),
     "config": dict(help="flat key=value config file; flags win"),
@@ -226,21 +232,19 @@ def resolve_sets(spec_text: str, field, how_many: int) -> list:
     """Split a comma-joined spec list; a single random spec fans out by
     bumping its seed once per extra set."""
     parts = [s.strip() for s in spec_text.split(",") if s.strip()]
-    if len(parts) == how_many:
-        return [parse_subset(s, field) for s in parts]
-    if len(parts) == 1:
-        base = parts[0]
-        if base.startswith("random:"):
-            _, density, seed = base.split(":")
-            return [
-                random_subset(field, float(density), int(seed) + k)
-                for k in range(how_many)
-            ]
-        one = parse_subset(base, field)
-        return [one] * how_many
-    raise ConfigError(
-        f"--sets needs 1 or {how_many} comma-separated specs, got {len(parts)}"
-    )
+    if len(parts) not in (1, how_many):
+        raise ConfigError(
+            f"--sets needs 1 or {how_many} comma-separated specs, got {len(parts)}"
+        )
+    try:
+        if len(parts) == how_many:
+            return [parse_subset(s, field) for s in parts]
+        if parts[0].startswith("random:"):
+            density, seed = parse_random_spec(parts[0])
+            return [random_subset(field, density, seed + k) for k in range(how_many)]
+        return [parse_subset(parts[0], field)] * how_many
+    except (ValueError, BadDensity) as exc:
+        raise ConfigError(f"--sets: {exc}") from None
 
 
 # --- fiber cache ---------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Progression counts and the averaged trilinear forms built on them.
 
 The central count is N(A, B, C) = #{(x, y) : x in A, x + P1(y) in B,
-x + P2(y) in C}, an exact integer computed in O(p^2) integer operations.
-Its normalized companion is
+x + P2(y) in C}, an exact integer: one popcount per y of three bit-packed
+windows, so O(p^2 / 64) word operations.  Its normalized companion is
 
     L(f0, f1, f2) = E_{x,y} f0(x) f1(x + P1(y)) f2(x + P2(y))
 
@@ -48,11 +48,57 @@ def _check_same_field(field: PrimeField, *fs: GridFunction) -> None:
             raise ValueError("grid functions live on different fields")
 
 
-def _indicator_int(subset: SubsetSpec) -> np.ndarray:
-    v = np.zeros(subset.field.p, dtype=np.int64)
-    if subset.members:
-        v[list(subset.members)] = 1
-    return v
+WORD = 64
+CHUNK_ROWS = 1024  # value-table rows turned into Python ints at a time
+
+
+def _pack_bits(bits: np.ndarray, words: int) -> np.ndarray:
+    """0/1 uint8 array as `words` little-endian uint64 words (bit i of word
+    k is bits[64k + i]); bits past len(bits) are zero."""
+    padded = np.zeros(WORD * words, dtype=np.uint8)
+    padded[: len(bits)] = bits
+    return np.packbits(padded, bitorder="little").view("<u8")
+
+
+def _packed_count(a: SubsetSpec, b: SubsetSpec, c: SubsetSpec, s1, s2) -> int:
+    """sum_r #{x : x in A, x + s1[r] in B, x + s2[r] in C}, indices mod p.
+
+    Each row is the popcount of A & rot(B, s1[r]) & rot(C, s2[r]) over
+    w = ceil(p/64) words.  Row k of a phase table holds the doubled set
+    from bit k on, so rot(B, s) is the view phase[s % 64, s // 64 :][:w];
+    bits past p in that window are masked by A's zero tail.  Exact: a
+    word's popcount is at most 64, so the per-word uint64 sums stay below
+    64p, and the Python-int total is at most p^2 < 2^62 for p < 2^31.
+    """
+    p = a.field.p
+    w = -(-p // WORD)
+    span = p // WORD + w  # phase words needed: s // 64 + w for every s < p
+
+    def bits(s: SubsetSpec) -> np.ndarray:
+        v = np.zeros(p, dtype=np.uint8)
+        v[list(s.members)] = 1
+        return v
+
+    def phase_table(s: SubsetSpec) -> np.ndarray:
+        doubled = np.tile(bits(s), 2)
+        table = np.empty((WORD, span), dtype=np.uint64)
+        for k in range(WORD):
+            table[k] = _pack_bits(doubled[k : k + WORD * span], span)
+        return table
+
+    pa = _pack_bits(bits(a), w)
+    pb, pc = phase_table(b), phase_table(c)
+    word_and = np.empty(w, dtype=np.uint64)
+    ones = np.empty(w, dtype=np.uint8)
+    word_sums = np.zeros(w, dtype=np.uint64)
+    for lo in range(0, len(s1), CHUNK_ROWS):
+        chunk = zip(s1[lo : lo + CHUNK_ROWS].tolist(), s2[lo : lo + CHUNK_ROWS].tolist())
+        for u, v in chunk:
+            qu, qv = u // WORD, v // WORD
+            np.bitwise_and(pa, pb[u % WORD, qu : qu + w], out=word_and)
+            np.bitwise_and(word_and, pc[v % WORD, qv : qv + w], out=word_and)
+            np.add(word_sums, np.bitwise_count(word_and, out=ones), out=word_sums)
+    return int(word_sums.sum())
 
 
 def _shift_dots(f0, f1, s1, f2=None, s2=None) -> np.ndarray:
@@ -60,7 +106,8 @@ def _shift_dots(f0, f1, s1, f2=None, s2=None) -> np.ndarray:
 
     Without f2 the last factor is dropped.  Shifts lie in [0, p), so each
     shifted copy is a window of a doubled array (a view, no copy).  The
-    dtype follows the inputs: int64 indicators give exact integer rows.
+    callers pass float64 grid functions; the integer count goes through
+    _packed_count instead.
     """
     p = len(f0)
     d1 = np.concatenate([f1, f1])
@@ -94,10 +141,7 @@ def count_progressions(
     p = field.p
     t1 = value_table(p1, field)
     t2 = value_table(p2, field)
-    ia, ib, ic = _indicator_int(a), _indicator_int(b), _indicator_int(c)
-    # Exact in int64: each row counts x in [0, p), so the total is at most
-    # p^2 < 2^62 for p < 2^31.
-    n = int(_shift_dots(ia, ib, t1, ic, t2).sum())
+    n = _packed_count(a, b, c, t1, t2)
     sizes = len(a.members) * len(b.members) * len(c.members)
     expected = Fraction(sizes, p)
     error = abs(Fraction(n) - expected)

@@ -104,17 +104,32 @@ def random_subset(field: PrimeField, density: float, seed: int) -> SubsetSpec:
     rng = np.random.default_rng(seed)
     draws = rng.random(field.p)
     members = np.flatnonzero(draws < density)
-    return SubsetSpec(field, tuple(int(m) for m in members))
+    return SubsetSpec(field, tuple(members.tolist()))
+
+
+def parse_random_spec(spec: str) -> tuple[float, int]:
+    """Density and seed of ``random:<density>:<seed>``; a ValueError that
+    quotes the spec otherwise."""
+    parts = spec.strip().split(":")
+    try:
+        if len(parts) != 3 or parts[0] != "random":
+            raise ValueError
+        density, seed = float(parts[1]), int(parts[2])
+        if seed < 0:
+            raise ValueError
+        return density, seed
+    except ValueError:
+        raise ValueError(
+            f"bad random subset spec {spec!r}: expected random:<density>:<seed>"
+            " with seed >= 0"
+        ) from None
 
 
 def parse_subset(spec: str, field: PrimeField) -> SubsetSpec:
     """Interpret a subset spec: ``random:<density>:<seed>`` or a file path."""
     s = spec.strip()
     if s.startswith("random:"):
-        parts = s.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad random subset spec {spec!r}")
-        return random_subset(field, float(parts[1]), int(parts[2]))
+        return random_subset(field, *parse_random_spec(s))
     if not os.path.exists(s):
         raise ValueError(f"subset file not found: {spec!r}")
     members = []

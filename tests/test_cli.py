@@ -112,6 +112,18 @@ def test_resolve_sets_wrong_count():
         resolve_sets("random:0.5:1,random:0.5:2", field_new(7), 3)
 
 
+@pytest.mark.parametrize(
+    "spec", ["random:0.5", "random:0.5:1:2", "random:x:1", "random:0.5:-1"]
+)
+def test_bad_random_sets_spec_names_the_flag(spec, capsys):
+    with pytest.raises(ConfigError, match="--sets"):
+        resolve_sets(spec, field_new(7), 3)
+    for argv in (["count", "--pair", "y,y^2"], ["expander", "--poly", "y^2"]):
+        assert main([*argv, "--primes", "5", "--sets", spec]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sets") and repr(spec) in err
+
+
 # --- exit codes -------------------------------------------------------------
 
 
@@ -757,7 +769,9 @@ def test_subcommand_takes_exactly_its_flags(command, tmp_path, capsys):
 RANGE_CASES = [
     (command, name, value)
     for command, flags in sorted(COMMAND_FLAGS.items())
-    for name, value in (("rmax", "0"), ("rmax", "13"), ("budget", "0"))
+    for name, value in (
+        ("rmax", "0"), ("rmax", "13"), ("budget", "0"), ("workers", "0"), ("workers", "-3")
+    )
     if name in flags
 ]
 

@@ -28,6 +28,7 @@ from ffprog import (
     prop22_sides,
     random_subset,
 )
+from ffprog.counting import _packed_count
 
 Y = parse_poly("y")
 Y2 = parse_poly("y^2")
@@ -88,6 +89,88 @@ def test_count_gates():
     full7 = SubsetSpec.full(f7)
     with pytest.raises(Inadmissible):
         count_progressions(full7, full7, full7, Y, parse_poly("2*y"), f7)
+
+
+# --- packed count kernel -----------------------------------------------------
+
+# Primes on either side of a 64-bit word boundary (1, 2, 3 and 4 words).
+WORD_PRIMES = (61, 67, 127, 131, 193, 257)
+
+# (P1, P2) as strings and as plain Python functions for the double loop;
+# the last two are not injective in y.
+KERNEL_PAIRS = (
+    ("y", "y^2", lambda y: y, lambda y: y * y),
+    ("2*y^2", "y^2+y", lambda y: 2 * y * y, lambda y: y * y + y),
+    ("y^2", "y^3", lambda y: y * y, lambda y: y**3),
+)
+
+
+def double_loop_count(a, b, c, q1, q2, p):
+    """#{(x, y) : x in A, x + q1(y) in B, x + q2(y) in C}, one pair at a time."""
+    in_b, in_c = set(b.members), set(c.members)
+    total = 0
+    for y in range(p):
+        u, v = q1(y) % p, q2(y) % p
+        for x in a.members:
+            if (x + u) % p in in_b and (x + v) % p in in_c:
+                total += 1
+    return total
+
+
+def kernel_sets(f):
+    p = f.p
+    full, empty = SubsetSpec.full(f), SubsetSpec.empty(f)
+    edge = SubsetSpec.from_members(f, [0, 1, 62, 63, 64, p - 2, p - 1])
+    rand = [random_subset(f, 0.5, seed=p + k) for k in range(3)]
+    return [
+        (full, full, full),
+        (full, full, empty),
+        (empty, full, full),
+        (SubsetSpec.from_members(f, [p - 1]), full, full),
+        (full, SubsetSpec.from_members(f, [0]), SubsetSpec.from_members(f, [p - 1])),
+        (edge, edge, edge),
+        (full, edge, rand[0]),
+        tuple(rand),
+    ]
+
+
+@pytest.mark.parametrize("p", WORD_PRIMES)
+@pytest.mark.parametrize("pair", KERNEL_PAIRS, ids=lambda t: f"{t[0]},{t[1]}")
+def test_packed_count_matches_double_loop(p, pair):
+    f = field_new(p)
+    s1, s2, q1, q2 = pair
+    p1, p2 = parse_poly(s1), parse_poly(s2)
+    for a, b, c in kernel_sets(f):
+        rep = count_progressions(a, b, c, p1, p2, f)
+        assert rep.exact_count == double_loop_count(a, b, c, q1, q2, p)
+
+
+@pytest.mark.parametrize("p", WORD_PRIMES)
+def test_packed_count_shifts_across_the_seam(p):
+    # shifts just below p wrap x + s past the end of the doubled array's
+    # first copy; 63/64 and p-64/p-65 sit on a word boundary of the windows
+    f = field_new(p)
+    shifts = [k % p for k in (-1, -2, -63, -64, -65, 0, 1, 63, 64, 65)]
+    s1 = np.array(shifts, dtype=np.int64)
+    s2 = s1[::-1].copy()
+    for a, b, c in kernel_sets(f):
+        in_b, in_c = set(b.members), set(c.members)
+        expected = sum(
+            1
+            for u, v in zip(s1.tolist(), s2.tolist())
+            for x in a.members
+            if (x + u) % p in in_b and (x + v) % p in in_c
+        )
+        assert _packed_count(a, b, c, s1, s2) == expected
+
+
+def test_packed_count_agrees_with_lambda3_at_1009():
+    f = field_new(1009)
+    sets = [random_subset(f, 0.5, seed=90 + k) for k in range(3)]
+    rep = count_progressions(*sets, Y, Y2, f)
+    lam = lambda3(*(indicator(s) for s in sets), Y, Y2, f)
+    assert rep.exact_count == round(lam * 1009 * 1009)
+    assert abs(lam * 1009 * 1009 - rep.exact_count) < 1e-6
 
 
 # --- averaged forms ----------------------------------------------------------
