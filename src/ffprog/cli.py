@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -304,6 +305,30 @@ def warm_fibers(
 
 
 # --- report emission -------------------------------------------------------------
+
+
+def check_out(out: str | None, cache_dir: str | None) -> None:
+    """Fail before any work on an --out whose directory the report cannot be
+    written to.  A missing directory passes only when it is the cache
+    directory or one of its ancestors, which the fiber cache creates."""
+    if not out:
+        return
+    target = os.path.dirname(os.path.abspath(out))
+    cache_creates = cache_dir is not None and os.path.commonpath(
+        [target, os.path.abspath(cache_dir)]
+    ) == target
+    existing = target
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing != target and not cache_creates:
+        code = errno.ENOENT
+    elif not os.path.isdir(existing):
+        code = errno.ENOTDIR
+    elif not os.access(existing, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write --out {out!r}: {os.strerror(code)}")
 
 
 def _write_report(text: str, out: str | None) -> None:
@@ -618,6 +643,7 @@ def main(argv=None) -> int:
         for name, default in COMMAND_FLAGS[args.command].items():
             if default is REQUIRED and not getattr(args, name):
                 raise ConfigError(f"{args.command} needs --{name}")
+        check_out(args.out, getattr(args, "cache_dir", None))
         return COMMANDS[args.command](args)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK

@@ -23,12 +23,19 @@ per (t2, t3),
          = sum_g Gram[g, (g + a) mod p],   Gram = K^T K.
 
 K is never held whole.  The pairs (u1, u3) are grouped by their T2 value
-into slabs; a batch of whole slabs (about BATCH_ROWS base rows (u1, u2, u3)
-plus the p^2 cells of K per slab) expands u4 through the CSR preimage table
-of P1, histograms its block of complete K rows with one bincount, and adds
-that block's Gram product to the running p x p total.  Memory is therefore
-O(p^2 + BATCH_ROWS) and the work O(deg(P1) * p^3 + p^4) with the p^4 term
-in BLAS.
+into slabs.  Given a base row (u1, u2, u3), u4 runs over the roots of P1 at
+P1(u2) + P1(u3) - P1(u1), that is at x mod p for the column
+x = (P1(u3) - P1(u1) mod p) + P1(u2) in [0, 2p).  So before the batch loop,
+each root slot j < max_v #P1^-1(v) gets one p x 2p table: row u3, column x
+holds G = P2(u4) - P2(u3) mod p for the j-th root u4 of P1 at x mod p, or p,
+the trash column, where x mod p has at most j roots.  A slot's keys are then
+one gather, with no mask, no reduction mod p and no concatenation.  A batch
+of whole slabs (about BATCH_ROWS keys: one per slot and base row, plus the
+p(p + 1) cells of K per slab) histograms its keys with one bincount into
+rows p + 1 wide, drops the trash column with a view, and adds that block's
+Gram product to the running p x p total.  Memory is therefore
+O(slots * p^2 + BATCH_ROWS) and the work O(deg(P1) * p^3 + p^4) with the
+p^4 term in BLAS.
 
 The Gram product runs in float64 yet is exact.  Every entry of K is a
 nonnegative integer, so every partial sum BLAS forms, in whatever order, is
@@ -39,7 +46,8 @@ float64 represents every integer; the finished c must then sum to it.
 
 Two slower paths back this up: a four-variable walk that resolves the
 dependent slots y4, y6, y7, y8 through preimage tables (the transparent
-reference), and a flat scan of all p^8 tuples (the naive oracle, p <= 5).
+reference), and a flat scan of all p^8 tuples (the naive oracle, which its
+budget gate charges p^8 steps).
 """
 
 from __future__ import annotations
@@ -62,8 +70,9 @@ DEFAULT_BUDGET = 2_000_000_000
 
 SCHEMA_VERSION = 1
 
-# Base rows (u1, u2, u3) per batch of the fast enumerator.  Batches hold
-# whole T2 slabs, and each slab also counts its p^2 cells of K.
+# Keys per batch of the fast enumerator: one per root slot of P1 and base
+# row (u1, u2, u3).  Batches hold whole T2 slabs, and each slab also counts
+# its p(p + 1) cells of K.
 BATCH_ROWS = 1 << 20
 
 # float64 holds every integer below 2**53 exactly; see the module docstring.
@@ -214,13 +223,13 @@ class FiberDistribution:
 
 
 def work_estimate(pair: NormalizedPair, p: int) -> int:
-    """Elementary-step estimate r1 * r2 * p^4 used by the budget gate."""
+    """Elementary-step estimate r1 * r2 * p^4 that the budget gate charges
+    the fast and loop enumerators."""
     return pair.r1 * pair.r2 * p**4
 
 
-def _gate(pair: NormalizedPair, field: PrimeField, budget: int) -> None:
+def _gate(pair: NormalizedPair, field: PrimeField, budget: int, est: int) -> None:
     pair.require_char(field)
-    est = work_estimate(pair, field.p)
     if est > budget:
         raise WorkBudgetExceeded(
             f"estimated {est} steps for p = {field.p} exceeds budget {budget}"
@@ -245,40 +254,52 @@ def enumerate_fibers(
     budget: int = DEFAULT_BUDGET,
 ) -> FiberDistribution:
     """Exact Q-fiber histogram: K streamed by T2 slab, autocorrelated by Gram."""
-    _gate(pair, field, budget)
+    _gate(pair, field, budget, work_estimate(pair, field.p))
     p = field.p
     t1 = value_table(pair.p1, field)
     t2 = value_table(pair.p2, field)
     t2p = value_table(pair.p2prime, field)
 
+    # Root-slot tables: for slot j, row u3 and x in [0, 2p), the G value
+    # (P2(u4) - P2(u3)) mod p of the j-th root u4 of P1 at x mod p, or the
+    # trash column p where x mod p has at most j roots.
     counts, offsets, roots = _csr_preimages(t1, p)
-    root_p2 = t2[roots]
+    slots = int(counts.max())
+    x = np.arange(2 * p) % p
+    slot = np.arange(slots)[:, None]
+    has = counts[x] > slot
+    root_p2 = t2[roots[np.where(has, offsets[x] + slot, 0)]]
+    g_table = np.where(has[:, None, :], (root_p2[:, None, :] - t2[:, None]) % p, p)
+    g_table = g_table.reshape(slots, -1)
 
     # CSR list of the pairs (u1, u3), flat index u1*p + u3, by T2 slab.
     z2 = ((t2p[None, :] - t2p[:, None]) % p).ravel()
     slab_pairs, slab_start, slab_order = _csr_preimages(z2, p)
 
-    # T3 * p for every (u1, u2): the middle digit of the K key.
-    t3_key = ((t2[None, :] - t2[:, None]) % p) * p
+    # K rows are p + 1 wide: the p values of G, then the trash column.
+    # T3 * (p + 1) for every (u1, u2): the middle digit of the K key.
+    width = p + 1
+    t3_key = ((t2[None, :] - t2[:, None]) % p) * width
 
     gram = np.zeros((p, p))
     v_size = 0
-    for lo, hi in _slab_batches(slab_pairs * p + p * p):
+    for lo, hi in _slab_batches(slots * slab_pairs * p + p * width):
         n_pairs = int(slab_pairs[lo:hi].sum())
         u1, u3 = np.divmod(slab_order[slab_start[lo] : slab_start[lo] + n_pairs], p)
         slab = np.repeat(np.arange(hi - lo, dtype=np.int64), slab_pairs[lo:hi])
-        # One base row per (pair, u2); u4 runs over the roots of P1 at s.
-        s = (t1[None, :] + (t1[u3] - t1[u1])[:, None]) % p
-        row_key = t3_key[u1] + (slab * (p * p))[:, None]
-        u3_p2 = np.broadcast_to(t2[u3][:, None], s.shape)
-        n_roots, first = counts[s], offsets[s]
-        keys = []
-        for j in range(int(counts.max())):
-            has = n_roots > j
-            g = (root_p2[first[has] + j] - u3_p2[has]) % p
-            keys.append(row_key[has] + g)
-        kb = np.bincount(np.concatenate(keys), minlength=(hi - lo) * p * p)
-        kb = kb.reshape(-1, p)
+        # One key per (pair, u2, slot): u4 is the slot's root of P1 at
+        # P1(u2) + P1(u3) - P1(u1), a column in [0, 2p) of row u3.
+        row_key = t3_key[u1] + (slab * (p * width))[:, None]
+        cell = (u3 * (2 * p) + (t1[u3] - t1[u1]) % p)[:, None] + t1
+        keys = np.empty((slots, *cell.shape), dtype=np.int64)
+        for j in range(slots):
+            # every cell is below 2p^2 = len(g_table[j]), so "clip" never
+            # clips; it lets take write into out without the buffered
+            # copy that mode "raise" makes
+            np.take(g_table[j], cell, out=keys[j], mode="clip")
+            keys[j] += row_key
+        kb = np.bincount(keys.ravel(), minlength=(hi - lo) * p * width)
+        kb = kb.reshape(-1, width)[:, :p]
 
         v_size += sum(r * r for r in kb.sum(axis=1).tolist())
         if v_size >= EXACT_LIMIT:
@@ -312,7 +333,7 @@ def enumerate_fibers_reference(
     by R1, R3, R4, then y8 from R2.  Pure Python, so only suitable for small
     p, but it shares no code with the fast path.
     """
-    _gate(pair, field, budget)
+    _gate(pair, field, budget, work_estimate(pair, field.p))
     p = field.p
     t1 = [int(v) for v in value_table(pair.p1, field)]
     t2 = [int(v) for v in value_table(pair.p2, field)]
@@ -357,8 +378,8 @@ def enumerate_fibers_naive(
     field: PrimeField,
     budget: int = DEFAULT_BUDGET,
 ) -> FiberDistribution:
-    """Flat scan of all p^8 tuples.  The oracle; keep p tiny."""
-    _gate(pair, field, budget)
+    """Flat scan of all p^8 tuples.  The oracle; the gate charges p^8 steps."""
+    _gate(pair, field, budget, field.p**8)
     p = field.p
     t1 = [int(v) for v in value_table(pair.p1, field)]
     t2 = [int(v) for v in value_table(pair.p2, field)]

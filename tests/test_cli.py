@@ -275,6 +275,40 @@ def test_out_into_missing_directory_is_config_error(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("parent", ["missing", "regular-file"])
+def test_bad_out_directory_fails_before_work(tmp_path, capsys, parent):
+    (tmp_path / "regular-file").write_text("")
+    out = str(tmp_path / parent / "x.json")
+    rc = main(["verify", "--pair", "y,y^2", "--primes", "7", "--only", "lm", "--out", out])
+    cap = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert cap.out == ""  # no table: the check ran before the work
+    assert cap.err.startswith(f"error: cannot write --out {out!r}: ")
+    assert sorted(os.listdir(tmp_path)) == ["regular-file"]
+
+
+def test_out_under_cache_dir_is_created_with_it(tmp_path, capsys):
+    # the fiber cache creates the cache directory and its ancestors, so
+    # --out may name one of them before it exists, but nothing below it
+    cache = tmp_path / "d" / "cache"
+    args = ["variety", "--pair", "y,y^2", "--primes", "5", "--cache-dir", str(cache)]
+    assert main([*args, "--out", str(cache / "sub" / "r.csv")]) == EXIT_CONFIG
+    assert not (tmp_path / "d").exists()
+    for out in (tmp_path / "d" / "r.csv", cache / "r.csv"):
+        assert main([*args, "--out", str(out)]) == EXIT_OK
+        assert out.read_text().startswith("p,")
+    capsys.readouterr()
+
+
+def test_naive8_budget_exceeded_exit(tmp_path, capsys):
+    # 5^8 = 390625 tuples: over this budget for naive8, not for fast
+    args = ["variety", "--pair", "y,y^2", "--primes", "5", "--budget", "390624"]
+    rc = main([*args, "--oracle", "naive8", "--cache-dir", str(tmp_path / "a")])
+    assert rc == EXIT_BUDGET
+    assert "estimated 390625 steps for p = 5 exceeds budget 390624" in capsys.readouterr().err
+    assert main([*args, "--cache-dir", str(tmp_path / "b")]) == EXIT_OK
+
+
 def test_failed_report_write_keeps_old_report(tmp_path):
     out = tmp_path / "r.csv"
     emit_rows("count", {}, ("p",), [(5,)], "csv", str(out))

@@ -19,6 +19,8 @@ from ffprog import (
     enumerate_fibers_reference,
     field_new,
     growth_report,
+    normalize_pair,
+    parse_pair,
     parse_poly,
     value_table,
     work_estimate,
@@ -112,6 +114,29 @@ def test_fast_matches_reference_across_batches(standard_pairs, spec, monkeypatch
     fast = enumerate_fibers(pair, f)
     loop = enumerate_fibers_reference(pair, f)
     assert fast.c.tolist() == loop.c.tolist()
+
+
+@pytest.mark.parametrize("p, slots", [(19, 3), (17, 1)])
+def test_root_slots_match_reference_across_batches(p, slots, monkeypatch):
+    # P1 = y^3 is 3-to-1 on the cubes at p = 19 (3 divides p - 1), so K is
+    # built from three root-slot tables with trash cells; at p = 17 it is
+    # injective and one slot covers every root.
+    pair = normalize_pair(*parse_pair("y^3,y^4"))
+    f = field_new(p)
+    assert np.bincount(value_table(pair.p1, f)).max() == slots
+    batches = []
+
+    def recorded(cost):
+        for lo_hi in slab_batches(cost):
+            batches.append(lo_hi)
+            yield lo_hi
+
+    slab_batches = variety._slab_batches
+    monkeypatch.setattr(variety, "_slab_batches", recorded)
+    monkeypatch.setattr(variety, "BATCH_ROWS", 4 * p * p)
+    fast = enumerate_fibers(pair, f)
+    assert 1 < len(batches) < p
+    assert fast.c.tolist() == enumerate_fibers_reference(pair, f).c.tolist()
 
 
 def test_one_slab_per_batch_matches_default(standard_pairs, monkeypatch):
