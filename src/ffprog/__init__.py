@@ -7,9 +7,7 @@ from .errors import (
     CharTooSmall,
     CorruptFiberFile,
     DegreeTooSmall,
-    DivisionByZero,
     EmptyVariety,
-    FFProgError,
     Inadmissible,
     NotMeanZero,
     NotPrime,
@@ -17,12 +15,10 @@ from .errors import (
     WorkBudgetExceeded,
     ZeroPolynomial,
 )
-from .field import FieldElem, PrimeField, eval_poly, field_new, inv, value_table
+from .field import field_new, value_table
 from .polys import (
-    AuxSystem,
     Diagnosis,
     IntPoly,
-    NormalizedPair,
     build_aux_system,
     check_admissible,
     normalize_pair,
@@ -51,7 +47,6 @@ from .counting import (
     prop22_sides,
 )
 from .fourier import (
-    Spectrum,
     char_sums_over_fibers,
     dft,
     inverse_dft,
@@ -60,30 +55,21 @@ from .fourier import (
 )
 from .variety import (
     CSV_COLUMNS,
-    DEFAULT_BUDGET,
-    ENUMERATORS,
     FiberDistribution,
-    GrowthRow,
-    PreimageTable,
-    SweepReport,
-    build_preimage_table,
     enumerate_fibers,
     enumerate_fibers_naive,
     enumerate_fibers_reference,
     growth_report,
-    growth_row,
     work_estimate,
 )
 from .symbolic import (
     AUX_ORDER,
     AUX_ORDER_EQUAL,
-    Certificate,
     MultiPoly,
     VarOrder,
     certify_separation_equal,
     certify_separation_unequal,
     grlex_compare,
-    leading_monomial,
     verify_lm_claims,
 )
 

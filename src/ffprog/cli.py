@@ -308,9 +308,11 @@ def warm_fibers(
 
 
 def check_out(out: str | None, cache_dir: str | None) -> None:
-    """Fail before any work on an --out whose directory the report cannot be
-    written to.  A missing directory passes only when it is the cache
-    directory or one of its ancestors, which the fiber cache creates."""
+    """Fail before any work on an --out the report cannot be written to.
+
+    A missing directory passes only when it is the cache directory or one of
+    its ancestors; the cache directory is then made here, since a run that
+    reads no fibers would never make it."""
     if not out:
         return
     target = os.path.dirname(os.path.abspath(out))
@@ -326,7 +328,14 @@ def check_out(out: str | None, cache_dir: str | None) -> None:
         code = errno.ENOTDIR
     elif not os.access(existing, os.W_OK):
         code = errno.EACCES
+    elif os.path.isdir(out) and not os.path.islink(out):  # rename replaces a link
+        code = errno.EISDIR
     else:
+        if existing != target:
+            try:
+                os.makedirs(cache_dir, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot write --out {out!r}: {exc.strerror}") from exc
         return
     raise ConfigError(f"cannot write --out {out!r}: {os.strerror(code)}")
 
@@ -384,9 +393,7 @@ def cmd_count(args) -> int:
         pair.require_char(field)
         a, b, c = resolve_sets(args.sets, field, 3)
         rep = count_progressions(a, b, c, p1, p2, field)
-        sizes = a.size * b.size * c.size
-        denom = sizes**0.5 * p ** (0.5 - 1 / 16)
-        ratio = float(rep.error) / denom if denom > 0 else 0.0
+        ratio = float(rep.error) / rep.bound if rep.bound > 0 else 0.0
         rows.append(
             (
                 p,

@@ -33,13 +33,14 @@ MEAN_ZERO_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CountReport:
-    """An exact progression count with its error against the main term."""
+    """An exact progression count, its error against the main term
+    |A||B||C|/p, and the power-saving scale sqrt(|A||B||C|) p^(1/2 - 1/16)
+    that count reports divide the error by."""
 
     exact_count: int
     expected: Fraction
     error: Fraction
     bound: float
-    constant_used: float
 
 
 def _check_same_field(field: PrimeField, *fs: GridFunction) -> None:
@@ -129,7 +130,6 @@ def count_progressions(
     p1: IntPoly,
     p2: IntPoly,
     field: PrimeField,
-    constant: float = 1.0,
 ) -> CountReport:
     """Exact N(A, B, C) for the progression x, x + P1(y), x + P2(y).
 
@@ -145,14 +145,8 @@ def count_progressions(
     sizes = len(a.members) * len(b.members) * len(c.members)
     expected = Fraction(sizes, p)
     error = abs(Fraction(n) - expected)
-    bound = constant * float(np.sqrt(sizes)) * p ** (0.5 - 1 / 16)
-    return CountReport(
-        exact_count=n,
-        expected=expected,
-        error=error,
-        bound=bound,
-        constant_used=constant,
-    )
+    bound = sizes**0.5 * p ** (0.5 - 1 / 16)
+    return CountReport(exact_count=n, expected=expected, error=error, bound=bound)
 
 
 def lambda3(

@@ -17,10 +17,6 @@ class OutOfRange(FFProgError):
     """The requested modulus is outside the supported window [3, 2**31)."""
 
 
-class DivisionByZero(FFProgError):
-    """Inversion or division of the zero residue."""
-
-
 class BadCharacteristic(FFProgError):
     """A rational coefficient cannot be reduced because p divides its denominator."""
 

@@ -1,10 +1,9 @@
 """Prime field arithmetic.
 
 The whole package works over F_p for a prime 3 <= p < 2**31.  Residues are
-plain machine integers in [0, p); the wrapper types below exist for clarity
-at API boundaries while the numeric kernels operate on raw ints and numpy
-arrays.  All products fit comfortably in 64-bit intermediates because
-p < 2**31.
+plain integers in [0, p), held in numpy int64 arrays by the numeric kernels;
+PrimeField only validates the modulus and reduces rational coefficients.
+All products fit comfortably in 64-bit intermediates because p < 2**31.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadCharacteristic, DivisionByZero, NotPrime, OutOfRange
+from .errors import BadCharacteristic, NotPrime, OutOfRange
 
 MIN_P = 3
 MAX_P = 2**31
@@ -59,28 +58,6 @@ class PrimeField:
         if not is_prime(self.p):
             raise NotPrime(f"{self.p} is not prime")
 
-    def __call__(self, value: int) -> "FieldElem":
-        return FieldElem(value % self.p, self)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        """Inverse of a nonzero residue, via Fermat: a**(p-2) mod p."""
-        a %= self.p
-        if a == 0:
-            raise DivisionByZero(f"0 has no inverse mod {self.p}")
-        return pow(a, self.p - 2, self.p)
-
     def reduce_fraction(self, c: Fraction) -> int:
         """Reduce an exact rational mod p; the denominator must be a unit."""
         den = c.denominator
@@ -88,83 +65,15 @@ class PrimeField:
             raise BadCharacteristic(
                 f"denominator {den} vanishes mod {self.p}"
             )
-        return c.numerator % self.p * self.inv(den % self.p) % self.p
+        return c.numerator * pow(den, -1, self.p) % self.p
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
 
-@dataclass(frozen=True)
-class FieldElem:
-    value: int
-    field: PrimeField
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElem):
-            if other.field.p != self.field.p:
-                raise ValueError("elements of different fields")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElem((self.value + v) % self.field.p, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElem((self.value - v) % self.field.p, self.field)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElem((v - self.value) % self.field.p, self.field)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.value * v % self.field.p, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElem((-self.value) % self.field.p, self.field)
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.value * self.field.inv(v) % self.field.p, self.field)
-
-    def __pow__(self, k: int):
-        return FieldElem(pow(self.value, k, self.field.p), self.field)
-
-    def inv(self) -> "FieldElem":
-        return FieldElem(self.field.inv(self.value), self.field)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"
-
-
 def field_new(p: int) -> PrimeField:
     """Build F_p, rejecting composite or out-of-range moduli."""
     return PrimeField(p)
-
-
-def inv(a: FieldElem) -> FieldElem:
-    return a.inv()
 
 
 def reduce_coeffs(poly, field: PrimeField) -> list[int]:
@@ -177,15 +86,6 @@ def reduce_coeffs(poly, field: PrimeField) -> list[int]:
     """
     coeffs = getattr(poly, "coeffs", poly)
     return [field.reduce_fraction(Fraction(c)) for c in coeffs]
-
-
-def eval_poly(poly, x: FieldElem) -> FieldElem:
-    """Horner evaluation of a rational polynomial at a field element."""
-    field = x.field
-    acc = 0
-    for c in reversed(reduce_coeffs(poly, field)):
-        acc = (acc * x.value + c) % field.p
-    return FieldElem(acc, field)
 
 
 def value_table(poly, field: PrimeField) -> np.ndarray:

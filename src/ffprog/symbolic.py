@@ -43,10 +43,6 @@ class VarOrder:
     def from_one_based(cls, seq) -> "VarOrder":
         return cls(tuple(i - 1 for i in seq))
 
-    @property
-    def nvars(self) -> int:
-        return len(self.precedence)
-
 
 # Precedence y8 > y4 > y7 > y3 > y6 > y2 > y5 > y1: under this order each of
 # the four defining polynomials of the auxiliary system has a pure-power
@@ -55,10 +51,6 @@ AUX_ORDER = VarOrder.from_one_based((8, 4, 7, 3, 6, 2, 5, 1))
 
 # Variant with y2 and y5 exchanged, used in the equal-degree analysis.
 AUX_ORDER_EQUAL = VarOrder.from_one_based((8, 4, 7, 3, 6, 5, 2, 1))
-
-
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
 
 
 def grlex_compare(m1: Monomial, m2: Monomial, order: VarOrder) -> int:
@@ -96,10 +88,6 @@ class MultiPoly:
     @classmethod
     def zero(cls, nvars: int = NVARS) -> "MultiPoly":
         return cls(nvars=nvars)
-
-    @classmethod
-    def constant(cls, c, nvars: int = NVARS) -> "MultiPoly":
-        return cls({(0,) * nvars: Fraction(c)}, nvars=nvars)
 
     @classmethod
     def univariate(cls, coeffs, var: int, nvars: int = NVARS) -> "MultiPoly":
@@ -181,6 +169,7 @@ class MultiPoly:
         return hash(frozenset(self.terms.items()))
 
     def leading_monomial(self, order: VarOrder) -> Monomial:
+        """Largest monomial under the graded-lex order."""
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no leading monomial")
         best = None
@@ -188,10 +177,6 @@ class MultiPoly:
             if best is None or grlex_compare(m, best, order) > 0:
                 best = m
         return best
-
-    def leading_term(self, order: VarOrder):
-        m = self.leading_monomial(order)
-        return m, self.terms[m]
 
     def evaluate(self, point) -> Fraction:
         """Exact evaluation at a tuple of rationals (test helper)."""
@@ -217,11 +202,6 @@ class MultiPoly:
             )
             parts.append(f"{c}" + (f"*{vars_txt}" if vars_txt else ""))
         return "MultiPoly(" + " + ".join(parts) + ")"
-
-
-def leading_monomial(g: MultiPoly, order: VarOrder) -> Monomial:
-    """Largest monomial of g under the graded-lex order."""
-    return g.leading_monomial(order)
 
 
 def _pure_power(var: int, k: int, nvars: int = NVARS) -> Monomial:

@@ -45,9 +45,10 @@ WorkBudgetExceeded before it reaches EXACT_LIMIT = 2**53, below which
 float64 represents every integer; the finished c must then sum to it.
 
 Two slower paths back this up: a four-variable walk that resolves the
-dependent slots y4, y6, y7, y8 through preimage tables (the transparent
-reference), and a flat scan of all p^8 tuples (the naive oracle, which its
-budget gate charges p^8 steps).
+dependent slots y4, y6, y7, y8 through the per-value root lists of
+_csr_preimages, the one preimage layout the fast path also reads (the
+transparent reference), and a flat scan of all p^8 tuples (the naive
+oracle, which its budget gate charges p^8 steps).
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CharTooSmall, CorruptFiberFile, WorkBudgetExceeded
+from .errors import CorruptFiberFile, WorkBudgetExceeded
 from .field import PrimeField, field_new, value_table
-from .polys import IntPoly, NormalizedPair
+from .polys import NormalizedPair
 from .fourier import char_sums_over_fibers
 
 DEFAULT_BUDGET = 2_000_000_000
@@ -79,30 +80,6 @@ BATCH_ROWS = 1 << 20
 EXACT_LIMIT = 1 << 53
 
 
-@dataclass(frozen=True)
-class PreimageTable:
-    """For each value v, the sorted list of roots of P(y) = v."""
-
-    field: PrimeField
-    poly: IntPoly
-    table: tuple
-
-    def preimages(self, v: int):
-        return self.table[v % self.field.p]
-
-
-def build_preimage_table(poly: IntPoly, field: PrimeField) -> PreimageTable:
-    if poly.degree != float("-inf") and field.p <= poly.degree:
-        raise CharTooSmall(
-            f"preimage table needs p > deg = {poly.degree}, got p = {field.p}"
-        )
-    values = value_table(poly, field)
-    buckets: list[list[int]] = [[] for _ in range(field.p)]
-    for y in range(field.p):
-        buckets[int(values[y])].append(y)
-    return PreimageTable(field, poly, tuple(tuple(b) for b in buckets))
-
-
 def _csr_preimages(values: np.ndarray, p: int):
     """CSR layout of the preimage lists of a value table.
 
@@ -114,6 +91,13 @@ def _csr_preimages(values: np.ndarray, p: int):
     offsets = np.zeros(p, dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
     return counts.astype(np.int64), offsets, order.astype(np.int64)
+
+
+def _preimage_lists(values: np.ndarray, p: int) -> list:
+    """The runs of _csr_preimages as one ascending list of roots per value."""
+    counts, offsets, roots = _csr_preimages(values, p)
+    roots = roots.tolist()
+    return [roots[o : o + n] for o, n in zip(offsets.tolist(), counts.tolist())]
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -327,20 +311,17 @@ def enumerate_fibers_reference(
     field: PrimeField,
     budget: int = DEFAULT_BUDGET,
 ) -> FiberDistribution:
-    """Transparent four-variable walk with dependent-slot preimage tables.
+    """Transparent four-variable walk with dependent-slot preimage lists.
 
     Loops (y1, y2, y3, y5); y4, y6, y7 come from the preimage lists forced
     by R1, R3, R4, then y8 from R2.  Pure Python, so only suitable for small
-    p, but it shares no code with the fast path.
+    p.  It reads the fast path's preimage layout but none of its logic.
     """
     _gate(pair, field, budget, work_estimate(pair, field.p))
     p = field.p
-    t1 = [int(v) for v in value_table(pair.p1, field)]
-    t2 = [int(v) for v in value_table(pair.p2, field)]
-    t2p = [int(v) for v in value_table(pair.p2prime, field)]
-    pre1 = build_preimage_table(pair.p1, field).table
-    pre2 = build_preimage_table(pair.p2, field).table
-    pre2p = build_preimage_table(pair.p2prime, field).table
+    tables = [value_table(poly, field) for poly in (pair.p1, pair.p2, pair.p2prime)]
+    t1, t2, t2p = (t.tolist() for t in tables)
+    pre1, pre2, pre2p = (_preimage_lists(t, p) for t in tables)
 
     c = [0] * p
     for y1 in range(p):

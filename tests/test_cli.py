@@ -300,6 +300,36 @@ def test_out_under_cache_dir_is_created_with_it(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_out_naming_a_directory_fails_before_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rep").mkdir()
+    args = ["verify", "--pair", "y,y^2", "--primes", "7", "--only", "lm"]
+    assert main([*args, "--out", "rep"]) == EXIT_CONFIG
+    cap = capsys.readouterr()
+    assert cap.out == ""  # no table: the check ran before the work
+    assert cap.err == "error: cannot write --out 'rep': Is a directory\n"
+    # a symlink to a directory is replaced by the report, as at write time
+    os.symlink("rep", "link")
+    assert main([*args, "--out", "link"]) == EXIT_OK
+    assert json.loads((tmp_path / "link").read_text())["passed"] is True
+    assert not os.path.islink("link") and os.listdir("rep") == []
+    capsys.readouterr()
+
+
+def test_out_under_missing_cache_dir_without_fiber_checks(tmp_path, capsys):
+    # --only lm reads no fibers, so only the early check can make the cache
+    cache = tmp_path / "D"
+    out = cache / "x.json"
+    rc = main(
+        ["verify", "--pair", "y,y^2", "--primes", "7", "--only", "lm",
+         "--cache-dir", str(cache), "--out", str(out)]
+    )
+    assert rc == EXIT_OK
+    assert json.loads(out.read_text())["rows"][0]["check"] == "lm"
+    assert os.listdir(cache) == ["x.json"]
+    capsys.readouterr()
+
+
 def test_naive8_budget_exceeded_exit(tmp_path, capsys):
     # 5^8 = 390625 tuples: over this budget for naive8, not for fast
     args = ["variety", "--pair", "y,y^2", "--primes", "5", "--budget", "390624"]

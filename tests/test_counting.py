@@ -80,6 +80,16 @@ def test_count_error_is_exact_rational():
     )
 
 
+def test_count_bound_matches_report_ratio():
+    # count reports divide the error by this bound, so it keeps their
+    # expression; for |A||B||C| = 8415, sqrt(8415) and 8415**0.5 round
+    # differently
+    f = field_new(37)
+    a, b, c = (SubsetSpec.from_members(f, list(range(n))) for n in (15, 17, 33))
+    rep = count_progressions(a, b, c, Y, Y2, f)
+    assert rep.bound == 8415**0.5 * 37 ** (0.5 - 1 / 16)
+
+
 def test_count_gates():
     f3 = field_new(3)
     full = SubsetSpec.full(f3)

@@ -1,18 +1,12 @@
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ffprog import (
     BadCharacteristic,
-    DivisionByZero,
     NotPrime,
     OutOfRange,
-    eval_poly,
     field_new,
-    inv,
     parse_poly,
     value_table,
 )
@@ -53,58 +47,23 @@ def test_inverse_exhaustive_small_primes():
     for p in (3, 5, 7, 11, 101):
         f = field_new(p)
         for a in range(1, p):
-            assert f.mul(a, f.inv(a)) == 1
-        with pytest.raises(DivisionByZero):
-            f.inv(0)
-
-
-def test_elem_arithmetic():
-    f = field_new(7)
-    a, b = f(3), f(5)
-    assert int(a + b) == 1
-    assert int(a - b) == 5
-    assert int(a * b) == 1
-    assert int(a / b) == int(a * b.inv())
-    assert int(-a) == 4
-    assert int(a + 10) == int(f(13))
-    assert int(a**3) == 6
-
-
-def test_elem_field_mismatch():
-    with pytest.raises(ValueError):
-        field_new(7)(1) + field_new(11)(1)
-
-
-@given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))
-@settings(max_examples=300, deadline=None)
-def test_ring_axioms_hypothesis(a, b, c):
-    f = field_new(1009)
-    assert f.add(a, b) == f.add(b, a)
-    assert f.mul(a, b) == f.mul(b, a)
-    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-
-
-def test_ring_axioms_bulk_random():
-    rng = random.Random(20240817)
-    for p in (31, 2**31 - 1):
-        f = field_new(p)
-        for _ in range(10_000):
-            a, b, c = (rng.randrange(p) for _ in range(3))
-            assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+            assert a * f.reduce_fraction(Fraction(1, a)) % p == 1
+            assert f.reduce_fraction(Fraction(1, a + p)) == f.reduce_fraction(Fraction(1, a))
+        assert f.reduce_fraction(Fraction(-3, 2)) == -3 * pow(2, p - 2, p) % p
+        with pytest.raises(BadCharacteristic):
+            f.reduce_fraction(Fraction(1, p))
 
 
 def test_eval_poly_rational_coeff():
     f = field_new(7)
     half_y = parse_poly("1/2*y")
-    assert int(eval_poly(half_y, f(3))) == 5  # inv(2) = 4, 4*3 = 12 = 5 mod 7
+    assert int(value_table(half_y, f)[3]) == 5  # inv(2) = 4, 4*3 = 12 = 5 mod 7
 
 
 def test_eval_poly_bad_characteristic():
     f = field_new(7)
     with pytest.raises(BadCharacteristic):
-        eval_poly(parse_poly("1/7*y"), f(1))
+        value_table(parse_poly("1/7*y"), f)
     # a bad denominator poisons the whole polynomial, not just the term used
     with pytest.raises(BadCharacteristic):
         value_table(parse_poly("y^2 + 1/14*y"), f)
@@ -123,9 +82,3 @@ def test_eval_poly_matches_exact_arithmetic():
                     exact.numerator * pow(exact.denominator, p - 2, p)
                 ) % p
                 assert int(table[x]) == want
-                assert int(eval_poly(poly, f(x))) == want
-
-
-def test_inv_function_wrapper():
-    f = field_new(11)
-    assert int(inv(f(4))) == pow(4, 9, 11)

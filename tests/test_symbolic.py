@@ -17,7 +17,6 @@ from ffprog import (
     certify_separation_equal,
     certify_separation_unequal,
     grlex_compare,
-    leading_monomial,
     normalize_pair,
     parse_pair,
     verify_lm_claims,
@@ -75,22 +74,22 @@ def test_multipoly_univariate_eval_matches(coeffs, var):
 
 def test_leading_monomial_zero_raises():
     with pytest.raises(ZeroPolynomial):
-        leading_monomial(MultiPoly.zero(), AUX_ORDER)
+        MultiPoly.zero().leading_monomial(AUX_ORDER)
 
 
 def test_lm_claims_standard_pairs(standard_pairs):
     for pair in standard_pairs.values():
         aux = build_aux_system(pair)
         assert verify_lm_claims(aux, pair)
-        assert leading_monomial(aux.R1, AUX_ORDER) == e(4, pair.r1)
-        assert leading_monomial(aux.R2, AUX_ORDER) == e(8, pair.r1)
-        assert leading_monomial(aux.R3, AUX_ORDER) == e(6, pair.r2)
-        assert leading_monomial(aux.R4, AUX_ORDER) == e(7, pair.r2)
+        assert aux.R1.leading_monomial(AUX_ORDER) == e(4, pair.r1)
+        assert aux.R2.leading_monomial(AUX_ORDER) == e(8, pair.r1)
+        assert aux.R3.leading_monomial(AUX_ORDER) == e(6, pair.r2)
+        assert aux.R4.leading_monomial(AUX_ORDER) == e(7, pair.r2)
 
 
 def test_q_leading_monomial_linear_quadratic(standard_pairs):
     aux = build_aux_system(standard_pairs["y,y^2"])
-    assert leading_monomial(aux.Q, AUX_ORDER) == e(8, 2)
+    assert aux.Q.leading_monomial(AUX_ORDER) == e(8, 2)
 
 
 def test_lm_claims_generated_family():

@@ -13,7 +13,6 @@ from ffprog import (
     CorruptFiberFile,
     FiberDistribution,
     WorkBudgetExceeded,
-    build_preimage_table,
     enumerate_fibers,
     enumerate_fibers_naive,
     enumerate_fibers_reference,
@@ -39,26 +38,40 @@ def admissible_at(standard_pairs, p):
     return {k: v for k, v in standard_pairs.items() if v.min_char <= p}
 
 
-# --- preimage tables -------------------------------------------------------
+# --- preimage layout -------------------------------------------------------
+
+
+def csr_runs(values, p):
+    """The runs of _csr_preimages, one tuple of roots per value."""
+    counts, offsets, roots = variety._csr_preimages(values, p)
+    assert counts.dtype == offsets.dtype == roots.dtype == np.int64
+    return [tuple(roots[o : o + n].tolist()) for o, n in zip(offsets, counts)]
 
 
 def test_preimage_table_identity():
     f = field_new(11)
-    t = build_preimage_table(parse_poly("y"), f)
-    assert all(t.preimages(v) == (v,) for v in range(11))
+    runs = csr_runs(value_table(parse_poly("y"), f), 11)
+    assert runs == [(v,) for v in range(11)]
 
 
 def test_preimage_table_squares_mod_7():
     f = field_new(7)
-    t = build_preimage_table(parse_poly("y^2"), f)
-    assert t.preimages(2) == (3, 4)
-    assert t.preimages(3) == ()
-    assert sum(len(t.preimages(v)) for v in range(7)) == 7
+    runs = csr_runs(value_table(parse_poly("y^2"), f), 7)
+    assert runs[2] == (3, 4)
+    assert runs[3] == ()
+    assert sum(len(r) for r in runs) == 7
 
 
-def test_preimage_table_char_gate():
-    with pytest.raises(CharTooSmall):
-        build_preimage_table(parse_poly("y^3"), field_new(3))
+@pytest.mark.parametrize("poly", ["2*y^2+y", "y^3"])
+@pytest.mark.parametrize("p", [5, 7, 13, 31, 37])
+def test_csr_preimages_match_bucket_loop(poly, p):
+    # y^3 is 3-to-1 on the units for p = 1 mod 3 and injective for p = 5
+    values = value_table(parse_poly(poly), field_new(p))
+    buckets = [[] for _ in range(p)]
+    for y, v in enumerate(values.tolist()):
+        buckets[v].append(y)
+    assert csr_runs(values, p) == [tuple(b) for b in buckets]
+    assert variety._preimage_lists(values, p) == buckets
 
 
 # --- enumerator agreement --------------------------------------------------
