@@ -307,6 +307,20 @@ def warm_fibers(
 # --- report emission -------------------------------------------------------------
 
 
+def _nearest_existing(path: str) -> str:
+    """path, or its nearest ancestor that exists."""
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    return path
+
+
+def check_cache_dir(cache_dir: str | None) -> None:
+    """Fail before any work on a --cache-dir that is, or lies under, a
+    file other than a directory: the cache could never be made there."""
+    if cache_dir and not os.path.isdir(_nearest_existing(os.path.abspath(cache_dir))):
+        raise ConfigError(f"--cache-dir {cache_dir!r}: {os.strerror(errno.ENOTDIR)}")
+
+
 def check_out(out: str | None, cache_dir: str | None) -> None:
     """Fail before any work on an --out the report cannot be written to.
 
@@ -319,10 +333,10 @@ def check_out(out: str | None, cache_dir: str | None) -> None:
     cache_creates = cache_dir is not None and os.path.commonpath(
         [target, os.path.abspath(cache_dir)]
     ) == target
-    existing = target
-    while not os.path.exists(existing):
-        existing = os.path.dirname(existing)
-    if existing != target and not cache_creates:
+    existing = _nearest_existing(target)
+    if out.endswith((os.sep, os.altsep or os.sep)):  # abspath drops the separator
+        code = errno.EISDIR
+    elif existing != target and not cache_creates:
         code = errno.ENOENT
     elif not os.path.isdir(existing):
         code = errno.ENOTDIR
@@ -565,19 +579,16 @@ def cmd_verify(args) -> int:
                     ok = p**4 <= d.v_size <= pair.r1**2 * pair.r2**2 * p**4
                     record("sandwich", tag, ok, f"v_size={d.v_size}")
 
-    for i, pair, p, seed in _verify_instances(pairs, primes, args.seed):
+    seeded = selected & {"decomposition", "prop22", "spectral"}
+    for i, pair, p, seed in _verify_instances(pairs, primes, args.seed) if seeded else ():
         label = f"{pair_texts[i]} p={p} seed={seed}"
         field = field_new(p)
+        a, b, c = (random_subset(field, 0.5, seed + k) for k in range(3))
         if "decomposition" in selected:
-            a = random_subset(field, 0.5, seed)
-            b = random_subset(field, 0.5, seed + 1)
-            c = random_subset(field, 0.5, seed + 2)
             resid = decomposition_residual(a, b, c, pair.p1, pair.p2, field)
             record("decomposition", label, resid < 1e-10, f"residual={resid!r}")
         if selected & {"prop22", "spectral"}:
-            f0 = balance(random_subset(field, 0.5, seed))
-            f1 = balance(random_subset(field, 0.5, seed + 1))
-            f2 = balance(random_subset(field, 0.5, seed + 2))
+            f0, f1, f2 = balance(a), balance(b), balance(c)
             dist = fibers[(keys[i], p)]
             if isinstance(dist, CorruptFiberFile):
                 for check in ("prop22", "spectral"):
@@ -650,7 +661,9 @@ def main(argv=None) -> int:
         for name, default in COMMAND_FLAGS[args.command].items():
             if default is REQUIRED and not getattr(args, name):
                 raise ConfigError(f"{args.command} needs --{name}")
-        check_out(args.out, getattr(args, "cache_dir", None))
+        cache_dir = getattr(args, "cache_dir", None)
+        check_cache_dir(cache_dir)
+        check_out(args.out, cache_dir)
         return COMMANDS[args.command](args)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK

@@ -26,7 +26,7 @@ from ffprog.counting import count_progressions, expander_image
 from ffprog.field import field_new
 from ffprog.polys import normalize_pair, parse_pair, parse_poly
 from ffprog.setfun import random_subset
-from ffprog import variety
+from ffprog import cli, variety
 from ffprog.variety import FiberDistribution, growth_report
 
 # sha256 of the count report for (y,y^2), primes 5,7, sets random:0.5:42.
@@ -328,6 +328,38 @@ def test_out_under_missing_cache_dir_without_fiber_checks(tmp_path, capsys):
     assert json.loads(out.read_text())["rows"][0]["check"] == "lm"
     assert os.listdir(cache) == ["x.json"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("under", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["variety", "--pair", "y,y^2", "--primes", "5"],
+        ["charsum", "--pair", "y,y^2", "--primes", "5"],
+        ["verify", "--pair", "y,y^2", "--primes", "7"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cache_dir_naming_a_file_fails_before_work(tmp_path, capsys, monkeypatch, argv, under):
+    monkeypatch.chdir(tmp_path)
+    open("F", "w").close()
+    cache = os.path.join("F", "sub") if under else "F"
+    assert main([*argv, "--cache-dir", cache]) == EXIT_CONFIG
+    cap = capsys.readouterr()
+    assert cap.out == ""  # no enumeration, no table: the check ran before the work
+    assert cap.err == f"error: --cache-dir {cache!r}: Not a directory\n"
+    assert os.listdir(tmp_path) == ["F"]
+
+
+def test_out_with_trailing_separator_fails_before_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["verify", "--pair", "y,y^2", "--primes", "7", "--only", "lm"]
+    for out in ("newdir" + os.sep, "." + os.sep):
+        assert main([*args, "--out", out]) == EXIT_CONFIG
+        cap = capsys.readouterr()
+        assert cap.out == ""  # no table: the check ran before the work
+        assert cap.err == f"error: cannot write --out {out!r}: Is a directory\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_naive8_budget_exceeded_exit(tmp_path, capsys):
@@ -671,6 +703,26 @@ def test_verify_workers_do_not_change_report(tmp_path, capsys):
     assert reports["1"] == reports["2"]
     assert len(fiber_files["1"]) == 8
     assert fiber_files["1"] == fiber_files["2"]
+
+
+def test_verify_builds_three_subsets_per_instance(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return random_subset(*args)
+
+    monkeypatch.setattr(cli, "random_subset", counted)
+    args = ["verify", "--pair", "y,y^2", "--primes", "31", "--only",
+            "decomposition,prop22,spectral", "--cache-dir", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(calls) == 9  # three instances, one subset each for A, B, C
+    assert len(set(calls)) == 9
+    assert [line.split()[:2] for line in lines[:-1]] == [
+        ["PASS", check] for check in ("decomposition", "prop22", "spectral") for _ in range(3)
+    ]
+    assert lines[-1] == "9/9 checks passed"
 
 
 def test_verify_report_file(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +30,9 @@ from ffprog import (
     prop22_sides,
     random_subset,
 )
-from ffprog.counting import _packed_count
+from ffprog import counting
+from ffprog.counting import _packed_count, _shift_dots
+from ffprog.field import value_table
 
 Y = parse_poly("y")
 Y2 = parse_poly("y^2")
@@ -181,6 +185,75 @@ def test_packed_count_agrees_with_lambda3_at_1009():
     lam = lambda3(*(indicator(s) for s in sets), Y, Y2, f)
     assert rep.exact_count == round(lam * 1009 * 1009)
     assert abs(lam * 1009 * 1009 - rep.exact_count) < 1e-6
+
+
+# --- shift-dot kernel ---------------------------------------------------------
+
+
+def double_loop_rows(f0, f1, s1, f2=None, s2=None):
+    """Each row of _shift_dots as a correctly rounded sum over x, and the sum
+    of its terms' magnitudes (the scale its rounding error is measured on)."""
+    p = len(f0)
+    f0, d1 = f0.tolist(), f1.tolist() * 2
+    d2 = [1.0] * 2 * p if f2 is None else f2.tolist() * 2
+    s2 = [0] * len(s1) if s2 is None else s2
+    rows, scales = [], []
+    for a, b in zip(list(s1), list(s2)):
+        terms = [u * v * w for u, v, w in zip(f0, d1[a : a + p], d2[b : b + p])]
+        rows.append(math.fsum(terms))
+        scales.append(math.fsum(map(abs, terms)))
+    return np.array(rows), np.array(scales)
+
+
+def check_shift_dots(p, q1, q2, seed):
+    """Blocked rows against the double loop: float64 rows to 1e-12 of their
+    scale, 0/1 rows exactly (integers below 2^53)."""
+    s1 = np.array([q1(y) % p for y in range(p)], dtype=np.int64)
+    s2 = np.array([q2(y) % p for y in range(p)], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    normal = rng.normal(size=(3, p))
+    bits = (rng.random((3, p)) < 0.5).astype(np.float64)
+    for (f0, f1, f2), exact in ((normal, False), (bits, True)):
+        for args in ((f0, f1, s1, f2, s2), (f0, f1, s1), (f1, f2, s2)):
+            got = _shift_dots(*args)
+            want, scale = double_loop_rows(*args)
+            if exact:
+                assert np.array_equal(got, want)
+            else:
+                assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize(
+    "p, pair",
+    [(p, pair) for p in (31, 73, 257) for pair in KERNEL_PAIRS] + [(1009, KERNEL_PAIRS[1])],
+    ids=lambda v: str(v) if isinstance(v, int) else f"{v[0]},{v[1]}",
+)
+def test_shift_dots_matches_double_loop(p, pair):
+    # 2*y^2 and y^2+y are 2-to-1, so most shifts come twice
+    check_shift_dots(p, pair[2], pair[3], seed=p)
+
+
+@pytest.mark.parametrize("block", [1, 5, 13])
+def test_shift_dots_blocks_with_an_uneven_last_block(monkeypatch, block):
+    # R = block rows per gather; 31 and 73 shifts are no multiple of 5 or 13
+    for p in (31, 73):
+        monkeypatch.setattr(counting, "SHIFT_BLOCK", block * p + p // 2)
+        check_shift_dots(p, lambda y: 2 * y * y, lambda y: y * y + y, seed=block)
+
+
+def test_shift_dots_memory_stays_within_a_block():
+    p = 5003
+    f = field_new(p)
+    s1, s2 = value_table(Y, f), value_table(Y2, f)
+    f0, f1, f2 = np.random.default_rng(1).normal(size=(3, p))
+    tracemalloc.start()
+    try:
+        _shift_dots(f0, f1, s1, f2, s2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole (p, p) window matrix would be 200 MB
+    assert peak <= 3 * counting.SHIFT_BLOCK * 8 + 64 * p
 
 
 # --- averaged forms ----------------------------------------------------------
