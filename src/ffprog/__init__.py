@@ -54,7 +54,6 @@ from .fourier import (
     weil_ratio,
 )
 from .variety import (
-    CSV_COLUMNS,
     FiberDistribution,
     enumerate_fibers,
     enumerate_fibers_naive,

@@ -26,9 +26,11 @@ import csv
 import errno
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 from .counting import (
     count_progressions,
@@ -58,10 +60,10 @@ from .symbolic import (
     verify_lm_claims,
 )
 from .variety import (
-    CSV_COLUMNS,
     DEFAULT_BUDGET,
     ENUMERATORS,
     FiberDistribution,
+    GrowthRow,
     SCHEMA_VERSION,
     growth_report,
     write_text_atomic,
@@ -74,16 +76,6 @@ EXIT_CHAR = 3
 EXIT_BUDGET = 4
 
 DEFAULT_VERIFY_PAIRS = ("y,y^2", "y^2,y^3", "y,y^3", "2*y^2,y^2+y")
-VERIFY_CHECKS = (
-    "decomposition",
-    "prop22",
-    "spectral",
-    "weil",
-    "sandwich",
-    "lm",
-    "certificates",
-)
-FIBER_CHECKS = {"prop22", "spectral", "sandwich"}
 # Longest '--primes a..b' range; each candidate costs a Miller-Rabin test
 # (a few microseconds), so the walk stays well under a second.
 MAX_PRIME_RANGE = 10**5
@@ -134,13 +126,20 @@ def cert_degree(text: str) -> int:
     return rmax
 
 
-def at_least_one(name: str):
-    """Flag type: an integer >= 1, else a ConfigError that names the flag."""
+def cert_threshold(text: str) -> float:
+    threshold = float(text)
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ConfigError("threshold must be a finite number >= 0")
+    return threshold
+
+
+def at_least(low: int, name: str):
+    """Flag type: an integer >= low, else a ConfigError that names the flag."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1")
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}")
         return value
 
     parse.__name__ = name  # argparse's "invalid <name> value" message
@@ -153,9 +152,9 @@ FLAGS = {
     "poly": dict(help='single polynomial, e.g. "y^2"'),
     "primes": dict(type=parse_primes, help='"a..b" or comma list; non-primes dropped'),
     "sets": dict(help="subset specs: files or random:<density>:<seed>"),
-    "seed": dict(type=int, help="base seed for the seeded checks"),
-    "budget": dict(type=at_least_one("budget"), help="work cap for fiber enumeration (>= 1)"),
-    "workers": dict(type=at_least_one("workers"), help="parallel fiber jobs (>= 1)"),
+    "seed": dict(type=at_least(0, "seed"), help="base seed for the seeded checks (>= 0)"),
+    "budget": dict(type=at_least(1, "budget"), help="work cap for fiber enumeration (>= 1)"),
+    "workers": dict(type=at_least(1, "workers"), help="parallel fiber jobs (>= 1)"),
     "out": dict(help="write the report here instead of stdout"),
     "format": dict(choices=("json", "csv"), help="report format"),
     "config": dict(help="flat key=value config file; flags win"),
@@ -163,7 +162,7 @@ FLAGS = {
     "oracle": dict(choices=sorted(ENUMERATORS), help="enumerator to use"),
     "only": dict(type=parse_checks, help="comma list of checks to run"),
     "rmax": dict(type=cert_degree, help=f"certificate degree cap, 1..{MAX_CERT_DEGREE}"),
-    "threshold": dict(type=float, help="certificate threshold"),
+    "threshold": dict(type=cert_threshold, help="certificate threshold, finite and >= 0"),
 }
 
 REQUIRED = object()  # a default meaning "the subcommand exits 2 without this flag"
@@ -433,14 +432,8 @@ def cmd_variety(args) -> int:
     fibers = warm_fibers(
         [pair], primes, args.budget, args.cache_dir, args.workers, ENUMERATORS[args.oracle]
     )
-    report = growth_report(
-        pair,
-        primes,
-        budget=args.budget,
-        fibers_by_p={p: fibers[(pair.key(), p)] for p in primes},
-    )
-    rows = [tuple(r.to_json_dict()[c] for c in CSV_COLUMNS) for r in report.rows]
-    emit_rows("variety", {"pair": args.pair}, CSV_COLUMNS, rows, args.format, args.out)
+    rows = growth_report({p: fibers[(pair.key(), p)] for p in primes})
+    emit_rows("variety", {"pair": args.pair}, GrowthRow._fields, rows, args.format, args.out)
     return EXIT_OK
 
 
@@ -516,106 +509,130 @@ def cmd_certify(args) -> int:
     return EXIT_OK if all(c.passed for c in certs) else EXIT_CHECK_FAILED
 
 
-def _verify_instances(pairs, primes, base_seed):
-    """Deterministic (pair, prime, seed-triple) grid for the checks."""
-    for i, pair in enumerate(pairs):
-        for j, p in enumerate(primes):
-            for k in range(3):
-                seed = base_seed + 1009 * i + 101 * j + 3 * k
-                yield i, pair, p, seed
+# --- verify checks ---------------------------------------------------------------
+#
+# Every check yields (instance, ok, detail) rows.  Its scope says how often it
+# runs and with which keyword arguments besides the row label:
+#   "pair"      once per pair: pair, fields (one per prime)
+#   "fibers"    once per (pair, p): pair, field, dist
+#   "instance"  three seeded instances per (pair, p): pair, field, dist, and
+#               subsets, balanced (A, B, C and their balanced indicators)
+#   "once"      rmax, threshold
+# dist is the pair's fiber distribution at p.  It is read only by checks
+# marked reads_fibers, and for those a corrupt fiber file is a FAIL row.
+
+
+def _check_lm(label, pair, **_):
+    yield label, verify_lm_claims(build_aux_system(pair), pair), ""
+
+
+def _check_weil(label, pair, fields, **_):
+    """One row per distinct polynomial among P1, P2, P2'."""
+    polys = {}
+    for poly in (pair.p1, pair.p2, pair.p2prime):
+        polys.setdefault(str(poly), poly)
+    for text, poly in sorted(polys.items()):
+        worst = max([0.0] + [weil_ratio(poly, f) for f in fields if poly.degree < f.p])
+        yield f"{label} [{text}]", worst <= 1.0 + 1e-9, f"max_ratio={worst!r}"
+
+
+def _check_sandwich(label, pair, field, dist, **_):
+    p = field.p
+    ok = p**4 <= dist.v_size <= pair.r1**2 * pair.r2**2 * p**4
+    yield label, ok, f"v_size={dist.v_size}"
+
+
+def _check_decomposition(label, pair, field, subsets, **_):
+    resid = decomposition_residual(*subsets, pair.p1, pair.p2, field)
+    yield label, resid < 1e-10, f"residual={resid!r}"
+
+
+def _check_prop22(label, pair, balanced, dist, **_):
+    lhs, rhs = prop22_sides(*balanced, pair, dist)
+    yield label, lhs <= rhs + 1e-9, f"lhs={lhs!r} rhs={rhs!r}"
+
+
+def _check_spectral(label, balanced, dist, **_):
+    f2 = balanced[2]
+    direct = lambda_prime(f2, f2, dist)
+    spectral = lambda_prime_spectral(f2, dist)
+    rel = abs(direct - spectral) / max(abs(direct), 1e-12)
+    yield label, rel < 1e-8, f"rel={rel!r}"
+
+
+def _check_certificates(label, rmax, threshold):
+    certs = list(_certificates(rmax, threshold))
+    worst = min((c.min_modulus for c in certs), default=float("inf"))
+    yield label, all(c.passed for c in certs), f"min_modulus={worst!r}"
+
+
+class VerifyCheck(NamedTuple):
+    scope: str
+    run: Callable
+    reads_fibers: bool = False
+
+
+# Every verify check, in report order.
+VERIFY_CHECKS = {
+    "decomposition": VerifyCheck("instance", _check_decomposition),
+    "prop22": VerifyCheck("instance", _check_prop22, reads_fibers=True),
+    "spectral": VerifyCheck("instance", _check_spectral, reads_fibers=True),
+    "weil": VerifyCheck("pair", _check_weil),
+    "sandwich": VerifyCheck("fibers", _check_sandwich, reads_fibers=True),
+    "lm": VerifyCheck("pair", _check_lm),
+    "certificates": VerifyCheck("once", _check_certificates),
+}
 
 
 def cmd_verify(args) -> int:
     pair_texts = [args.pair] if args.pair else list(DEFAULT_VERIFY_PAIRS)
     pairs = [normalize_pair(*parse_pair(t)) for t in pair_texts]
-    keys = [pair.key() for pair in pairs]
-    primes = args.primes
-    selected = args.only or set(VERIFY_CHECKS)
-
+    fields = [field_new(p) for p in args.primes]
     for pair in pairs:
-        for p in primes:
-            pair.require_char(field_new(p))
+        for field in fields:
+            pair.require_char(field)
+    checks = {n: c for n, c in VERIFY_CHECKS.items() if not args.only or n in args.only}
 
     # fiber distributions, via the cache; corruption surfaces as check failures
     fibers = {}
-    if selected & FIBER_CHECKS:
+    if any(c.reads_fibers for c in checks.values()):
         fibers = warm_fibers(
-            pairs, primes, args.budget, args.cache_dir, args.workers, strict_cache=True
+            pairs, args.primes, args.budget, args.cache_dir, args.workers, strict_cache=True
         )
 
     rows = []
 
-    def record(check, instance, ok, detail=""):
-        rows.append((check, instance, "PASS" if ok else "FAIL", detail))
+    def run(scope, label, **context):
+        dist = context.get("dist")
+        for name, check in checks.items():
+            if check.scope != scope:
+                continue
+            if check.reads_fibers and isinstance(dist, CorruptFiberFile):
+                rows.append((name, label, "FAIL", str(dist)))
+                continue
+            for instance, ok, detail in check.run(label, **context):
+                rows.append((name, instance, "PASS" if ok else "FAIL", detail))
 
-    for i, pair in enumerate(pairs):
-        label = pair_texts[i]
-        if "lm" in selected:
-            aux = build_aux_system(pair)
-            record("lm", label, verify_lm_claims(aux, pair))
-        if "weil" in selected:
-            polys = {}
-            for poly in (pair.p1, pair.p2, pair.p2prime):
-                polys.setdefault(str(poly), poly)
-            for text, poly in sorted(polys.items()):
-                worst = 0.0
-                for p in primes:
-                    if poly.degree >= p:
-                        continue
-                    worst = max(worst, weil_ratio(poly, field_new(p)))
-                record(
-                    "weil",
-                    f"{label} [{text}]",
-                    worst <= 1.0 + 1e-9,
-                    f"max_ratio={worst!r}",
+    seeded = any(c.scope == "instance" for c in checks.values())
+    for i, (text, pair) in enumerate(zip(pair_texts, pairs)):
+        key = pair.key()
+        run("pair", text, pair=pair, fields=fields)
+        for j, field in enumerate(fields):
+            p = field.p
+            dist = fibers.get((key, p))
+            run("fibers", f"{text} p={p}", pair=pair, field=field, dist=dist)
+            for k in range(3) if seeded else ():
+                seed = args.seed + 1009 * i + 101 * j + 3 * k
+                subsets = [random_subset(field, 0.5, seed + n) for n in range(3)]
+                balanced = [balance(s) for s in subsets]
+                run(
+                    "instance", f"{text} p={p} seed={seed}", pair=pair, field=field,
+                    dist=dist, subsets=subsets, balanced=balanced,
                 )
-        if "sandwich" in selected:
-            for p in primes:
-                d = fibers[(keys[i], p)]
-                tag = f"{label} p={p}"
-                if isinstance(d, CorruptFiberFile):
-                    record("sandwich", tag, False, str(d))
-                else:
-                    ok = p**4 <= d.v_size <= pair.r1**2 * pair.r2**2 * p**4
-                    record("sandwich", tag, ok, f"v_size={d.v_size}")
+    run("once", f"rmax={args.rmax}", rmax=args.rmax, threshold=args.threshold)
 
-    seeded = selected & {"decomposition", "prop22", "spectral"}
-    for i, pair, p, seed in _verify_instances(pairs, primes, args.seed) if seeded else ():
-        label = f"{pair_texts[i]} p={p} seed={seed}"
-        field = field_new(p)
-        a, b, c = (random_subset(field, 0.5, seed + k) for k in range(3))
-        if "decomposition" in selected:
-            resid = decomposition_residual(a, b, c, pair.p1, pair.p2, field)
-            record("decomposition", label, resid < 1e-10, f"residual={resid!r}")
-        if selected & {"prop22", "spectral"}:
-            f0, f1, f2 = balance(a), balance(b), balance(c)
-            dist = fibers[(keys[i], p)]
-            if isinstance(dist, CorruptFiberFile):
-                for check in ("prop22", "spectral"):
-                    if check in selected:
-                        record(check, label, False, str(dist))
-            else:
-                if "prop22" in selected:
-                    lhs, rhs = prop22_sides(f0, f1, f2, pair, dist)
-                    record(
-                        "prop22",
-                        label,
-                        lhs <= rhs + 1e-9,
-                        f"lhs={lhs!r} rhs={rhs!r}",
-                    )
-                if "spectral" in selected:
-                    direct = lambda_prime(f2, f2, dist)
-                    spectral = lambda_prime_spectral(f2, dist)
-                    rel = abs(direct - spectral) / max(abs(direct), 1e-12)
-                    record("spectral", label, rel < 1e-8, f"rel={rel!r}")
-
-    if "certificates" in selected:
-        certs = list(_certificates(args.rmax, args.threshold))
-        ok = all(c.passed for c in certs)
-        worst = min((c.min_modulus for c in certs), default=float("inf"))
-        record("certificates", f"rmax={args.rmax}", ok, f"min_modulus={worst!r}")
-
-    rows.sort(key=lambda r: (VERIFY_CHECKS.index(r[0]), r[1]))
+    order = list(VERIFY_CHECKS)
+    rows.sort(key=lambda r: (order.index(r[0]), r[1]))
     failed = [r for r in rows if r[2] == "FAIL"]
     for check, instance, status, detail in rows:
         line = f"{status:4s} {check:14s} {instance}"
@@ -625,16 +642,8 @@ def cmd_verify(args) -> int:
     print(f"{len(rows) - len(failed)}/{len(rows)} checks passed")
 
     if args.out:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "verify",
-            "rows": [
-                {"check": c, "instance": i, "status": s, "detail": d}
-                for c, i, s, d in rows
-            ],
-            "passed": not failed,
-        }
-        emit_json(doc, args.out)
+        columns = ("check", "instance", "status", "detail")
+        emit_rows("verify", {"passed": not failed}, columns, rows, "json", args.out)
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 

@@ -139,6 +139,7 @@ def _shift_dots(f0, f1, s1, f2=None, s2=None) -> np.ndarray:
         if w2 is not None:
             gathered *= w2[s2[lo:hi]]
         rows[lo:hi] = gathered @ f0
+        del gathered  # so the next block's gather does not hold two blocks
     return rows
 
 

@@ -59,6 +59,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -386,53 +387,17 @@ ENUMERATORS = {
 }
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
+    """One prime of a growth report; the field names are the report columns."""
+
     p: int
     v_size: int
-    v_ratio: float
+    v_over_p4: float
     w_size: int
-    w_ratio: float
+    w_over_p7: float
     max_fiber: int
-    fiber_ratio: float
-    charsum_scaled: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "v_size": self.v_size,
-            "v_over_p4": self.v_ratio,
-            "w_size": self.w_size,
-            "w_over_p7": self.w_ratio,
-            "max_fiber": self.max_fiber,
-            "max_fiber_over_p3": self.fiber_ratio,
-            "max_charsum_sqrtp": self.charsum_scaled,
-        }
-
-
-CSV_COLUMNS = (
-    "p",
-    "v_size",
-    "v_over_p4",
-    "w_size",
-    "w_over_p7",
-    "max_fiber",
-    "max_fiber_over_p3",
-    "max_charsum_sqrtp",
-)
-
-
-@dataclass
-class SweepReport:
-    pair: NormalizedPair
-    rows: list
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "pair": self.pair.key(),
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
+    max_fiber_over_p3: float
+    max_charsum_sqrtp: float
 
 
 def growth_row(dist: FiberDistribution) -> GrowthRow:
@@ -442,30 +407,16 @@ def growth_row(dist: FiberDistribution) -> GrowthRow:
     return GrowthRow(
         p=p,
         v_size=dist.v_size,
-        v_ratio=dist.v_size / p**4,
+        v_over_p4=dist.v_size / p**4,
         w_size=dist.w_size,
-        w_ratio=dist.w_size / p**7,
+        w_over_p7=dist.w_size / p**7,
         max_fiber=dist.max_fiber,
-        fiber_ratio=dist.max_fiber / p**3,
-        charsum_scaled=scaled,
+        max_fiber_over_p3=dist.max_fiber / p**3,
+        max_charsum_sqrtp=scaled,
     )
 
 
-def growth_report(
-    pair: NormalizedPair,
-    primes,
-    budget: int = DEFAULT_BUDGET,
-    fibers_by_p=None,
-) -> SweepReport:
-    """Size and character-sum growth across a prime sweep.
-
-    ``fibers_by_p`` lets callers supply already-enumerated distributions
-    (for example from cache); missing primes are enumerated here.
-    """
-    rows = []
-    for p in sorted(primes):
-        dist = None if fibers_by_p is None else fibers_by_p.get(p)
-        if dist is None:
-            dist = enumerate_fibers(pair, field_new(p), budget=budget)
-        rows.append(growth_row(dist))
-    return SweepReport(pair=pair, rows=rows)
+def growth_report(fibers_by_p: dict) -> list[GrowthRow]:
+    """Size and character-sum growth across a prime sweep, one row per
+    prime of ``{p: FiberDistribution}``, in ascending p."""
+    return [growth_row(fibers_by_p[p]) for p in sorted(fibers_by_p)]

@@ -296,8 +296,8 @@ def build_decay_report(pairs, fibers):
             for p in SWEEP_PRIMES
             if (spec, p) in fibers
         ]
-        charsums = [r.charsum_scaled for r in series]
-        fiber_ratios = [r.fiber_ratio for r in series]
+        charsums = [r.max_charsum_sqrtp for r in series]
+        fiber_ratios = [r.max_fiber_over_p3 for r in series]
         rows.append(
             {
                 "pair": spec,

@@ -27,7 +27,7 @@ from ffprog.field import field_new
 from ffprog.polys import normalize_pair, parse_pair, parse_poly
 from ffprog.setfun import random_subset
 from ffprog import cli, variety
-from ffprog.variety import FiberDistribution, growth_report
+from ffprog.variety import FiberDistribution, enumerate_fibers, growth_report
 
 # sha256 of the count report for (y,y^2), primes 5,7, sets random:0.5:42.
 # Regenerate with:
@@ -403,12 +403,13 @@ def test_variety_rows_match_growth_report(tmp_path):
     assert rc == EXIT_OK
     rows = list(csv.DictReader(out.read_text().splitlines()))
     pair = normalize_pair(*parse_pair("y,y^2"))
-    report = growth_report(pair, [5, 7])
-    for row, ref in zip(rows, report.rows):
+    report = growth_report({p: enumerate_fibers(pair, field_new(p)) for p in (5, 7)})
+    assert len(rows) == len(report) == 2
+    for row, ref in zip(rows, report):
         assert int(row["p"]) == ref.p
         assert int(row["v_size"]) == ref.v_size
         assert int(row["w_size"]) == ref.w_size
-        assert float(row["max_charsum_sqrtp"]) == pytest.approx(ref.charsum_scaled)
+        assert float(row["max_charsum_sqrtp"]) == pytest.approx(ref.max_charsum_sqrtp)
 
 
 def test_variety_cache_hit_skips_enumeration(tmp_path):
@@ -668,10 +669,10 @@ def test_verify_tampered_fiber_file_fails_spectral(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == EXIT_CHECK_FAILED
     failing = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL")}
-    assert "spectral" in failing
+    assert failing == {"prop22", "sandwich", "spectral"}
     # checks that do not touch the fiber file still run and pass
     passing = {line.split()[1] for line in out.splitlines() if line.startswith("PASS")}
-    assert "lm" in passing
+    assert passing == {"decomposition", "weil", "lm", "certificates"}
 
 
 def test_verify_weil_detail_is_a_plain_float(tmp_path, capsys):
@@ -723,6 +724,40 @@ def test_verify_builds_three_subsets_per_instance(tmp_path, capsys, monkeypatch)
         ["PASS", check] for check in ("decomposition", "prop22", "spectral") for _ in range(3)
     ]
     assert lines[-1] == "9/9 checks passed"
+
+
+@pytest.fixture(scope="module")
+def full_verify_rows(tmp_path_factory):
+    """The rows of one verify run with every check, and its cache directory."""
+    tmp = tmp_path_factory.mktemp("full_verify")
+    out = tmp / "verify.json"
+    args = ["verify", "--pair", "y,y^2", "--primes", "7,11", "--cache-dir", str(tmp / "cache")]
+    assert main([*args, "--out", str(out)]) == EXIT_OK
+    return json.loads(out.read_text())["rows"], tmp / "cache"
+
+
+@pytest.mark.parametrize("check", list(cli.VERIFY_CHECKS))
+def test_verify_only_gives_the_full_runs_rows(check, full_verify_rows, tmp_path, capsys):
+    rows, cache = full_verify_rows
+    out = tmp_path / "verify.json"
+    args = ["verify", "--pair", "y,y^2", "--primes", "7,11", "--only", check,
+            "--cache-dir", str(cache), "--out", str(out)]
+    assert main(args) == EXIT_OK
+    capsys.readouterr()
+    want = [row for row in rows if row["check"] == check]
+    assert want
+    assert json.loads(out.read_text())["rows"] == want
+
+
+def test_verify_negative_seed_exits_before_any_work(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ["verify", "--primes", "61,73", "--seed", "-3", "--only", "sandwich,decomposition",
+            "--cache-dir", str(cache)]
+    assert main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: seed must be >= 0" in captured.err
+    assert not cache.exists()
 
 
 def test_verify_report_file(tmp_path, capsys):
@@ -886,7 +921,8 @@ RANGE_CASES = [
     (command, name, value)
     for command, flags in sorted(COMMAND_FLAGS.items())
     for name, value in (
-        ("rmax", "0"), ("rmax", "13"), ("budget", "0"), ("workers", "0"), ("workers", "-3")
+        ("rmax", "0"), ("rmax", "13"), ("budget", "0"), ("workers", "0"), ("workers", "-3"),
+        ("seed", "-1"), ("threshold", "nan"), ("threshold", "inf"), ("threshold", "-1"),
     )
     if name in flags
 ]

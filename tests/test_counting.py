@@ -256,6 +256,21 @@ def test_shift_dots_memory_stays_within_a_block():
     assert peak <= 3 * counting.SHIFT_BLOCK * 8 + 64 * p
 
 
+def test_shift_dots_two_factor_memory_holds_one_block():
+    # each block is released before the next gather, so a call never holds
+    # two (R, p) blocks at once
+    p = 5003
+    s1 = value_table(Y2, field_new(p))
+    f0, f1 = np.random.default_rng(2).normal(size=(2, p))
+    tracemalloc.start()
+    try:
+        _shift_dots(f0, f1, s1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * counting.SHIFT_BLOCK * 8 + 64 * p
+
+
 # --- averaged forms ----------------------------------------------------------
 
 

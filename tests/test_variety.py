@@ -8,7 +8,6 @@ from conftest import brute_histogram, brute_points
 
 from ffprog import variety
 from ffprog import (
-    CSV_COLUMNS,
     CharTooSmall,
     CorruptFiberFile,
     FiberDistribution,
@@ -398,34 +397,15 @@ def test_failed_save_keeps_old_file(standard_pairs, fibers_cache, tmp_path, monk
 
 def test_growth_report_sweep(standard_pairs, fibers_cache):
     pair = standard_pairs["y,y^2"]
-    primes = (7, 11, 13)
-    rep = growth_report(
-        pair, primes, fibers_by_p={p: fibers_cache(pair, p) for p in primes}
-    )
-    assert [r.p for r in rep.rows] == [7, 11, 13]
-    for row in rep.rows:
+    primes = (13, 7, 11)
+    rows = growth_report({p: fibers_cache(pair, p) for p in primes})
+    assert [r.p for r in rows] == [7, 11, 13]
+    for row in rows:
         assert row.v_size >= row.p**4
-        assert row.v_ratio <= 4.0
-        assert row.w_ratio > 0
-        assert row.charsum_scaled >= 0.0
+        assert row.v_over_p4 <= 4.0
+        assert row.w_over_p7 > 0
+        assert row.max_charsum_sqrtp >= 0.0
     # |W| at the smallest prime against the explicit pair-count oracle
     vq = brute_points(pair, 7)
     counts = Counter(vq.values())
-    assert rep.rows[0].w_size == sum(n * n for n in counts.values())
-
-
-def test_growth_row_json_matches_csv_columns(standard_pairs, fibers_cache):
-    pair = standard_pairs["y,y^2"]
-    rep = growth_report(pair, (7,), fibers_by_p={7: fibers_cache(pair, 7)})
-    assert tuple(rep.rows[0].to_json_dict().keys()) == CSV_COLUMNS
-    assert rep.to_json_dict()["pair"] == pair.key()
-
-
-def test_growth_report_prefers_supplied_fibers(standard_pairs, fibers_cache):
-    # with a distribution supplied, no enumeration happens, so a tiny
-    # budget cannot trip the gate
-    pair = standard_pairs["y,y^2"]
-    rep = growth_report(
-        pair, (7,), budget=1, fibers_by_p={7: fibers_cache(pair, 7)}
-    )
-    assert rep.rows[0].v_size == fibers_cache(pair, 7).v_size
+    assert rows[0].w_size == sum(n * n for n in counts.values())
