@@ -102,6 +102,8 @@ def parse_primes(text: str) -> list[int]:
         candidates = range(lo, hi + 1)
     else:
         candidates = [int(tok) for tok in text.split(",") if tok.strip()]
+        if max(candidates, default=0) >= MAX_P:
+            raise ConfigError(f"prime list {text!r} must stay below 2**31")
     primes = sorted({n for n in candidates if n >= 2 and is_prime(n)})
     if not primes:
         raise ConfigError(f"no primes in {text!r}")

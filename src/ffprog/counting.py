@@ -75,19 +75,14 @@ def _packed_count(a: SubsetSpec, b: SubsetSpec, c: SubsetSpec, s1, s2) -> int:
     w = -(-p // WORD)
     span = p // WORD + w  # phase words needed: s // 64 + w for every s < p
 
-    def bits(s: SubsetSpec) -> np.ndarray:
-        v = np.zeros(p, dtype=np.uint8)
-        v[list(s.members)] = 1
-        return v
-
     def phase_table(s: SubsetSpec) -> np.ndarray:
-        doubled = np.tile(bits(s), 2)
+        doubled = np.tile(s.mask.view(np.uint8), 2)
         table = np.empty((WORD, span), dtype=np.uint64)
         for k in range(WORD):
             table[k] = _pack_bits(doubled[k : k + WORD * span], span)
         return table
 
-    pa = _pack_bits(bits(a), w)
+    pa = _pack_bits(a.mask.view(np.uint8), w)
     pb, pc = phase_table(b), phase_table(c)
     word_and = np.empty(w, dtype=np.uint64)
     ones = np.empty(w, dtype=np.uint8)
@@ -162,7 +157,7 @@ def count_progressions(
     t1 = value_table(p1, field)
     t2 = value_table(p2, field)
     n = _packed_count(a, b, c, t1, t2)
-    sizes = len(a.members) * len(b.members) * len(c.members)
+    sizes = a.size * b.size * c.size
     expected = Fraction(sizes, p)
     error = abs(Fraction(n) - expected)
     bound = sizes**0.5 * p ** (0.5 - 1 / 16)
@@ -305,12 +300,11 @@ def expander_image(
         raise DegreeTooSmall(f"expander needs deg >= 2, got {d}")
     if a.field.p != field.p or b.field.p != field.p:
         raise ValueError("subsets live on a different field")
-    if not a.members or not b.members:
+    if not a.size or not b.size:
         return 0
     p = field.p
     table = value_table(poly, field)
-    ua = np.asarray(a.members, dtype=np.int64)
-    vb = np.asarray(b.members, dtype=np.int64)
+    ua, vb = np.flatnonzero(a.mask), np.flatnonzero(b.mask)
     seen = np.zeros(p, dtype=bool)
     for u in ua:
         vals = (u + table[(vb - u) % p]) % p

@@ -8,6 +8,7 @@ All products fit comfortably in 64-bit intermediates because p < 2**31.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,23 +81,26 @@ def reduce_coeffs(poly, field: PrimeField) -> list[int]:
     """Reduce every coefficient of a rational polynomial mod p.
 
     ``poly`` is anything with a ``coeffs`` tuple of Fractions (index =
-    degree), or a bare sequence of Fractions.  Raises BadCharacteristic if p
-    divides any denominator, even one in a coefficient that would not matter
-    for a particular evaluation.
+    degree).  Raises BadCharacteristic if p divides any denominator, even
+    one in a coefficient that would not matter for a particular evaluation.
     """
-    coeffs = getattr(poly, "coeffs", poly)
-    return [field.reduce_fraction(Fraction(c)) for c in coeffs]
+    return [field.reduce_fraction(Fraction(c)) for c in poly.coeffs]
 
 
+@functools.lru_cache(maxsize=4)
 def value_table(poly, field: PrimeField) -> np.ndarray:
-    """P(x) mod p for every residue x, as an int64 array of length p.
+    """P(x) mod p for every residue x, as a read-only int64 array of length p.
 
     This is the workhorse behind counting and enumeration; intermediates
-    stay below 2**62 because p < 2**31.
+    stay below 2**62 because p < 2**31.  The last four tables are memoised
+    on (poly, field): verify asks for P1's and P2's table in every check of
+    every instance at one prime, and four tables of length p bound the
+    memory the cache holds.
     """
     coeffs = reduce_coeffs(poly, field)
     xs = np.arange(field.p, dtype=np.int64)
     acc = np.zeros(field.p, dtype=np.int64)
     for c in reversed(coeffs):
         acc = (acc * xs + c) % field.p
+    acc.flags.writeable = False
     return acc

@@ -14,8 +14,6 @@ E|f|^2 = sum_t |fhat(t)|^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CharTooSmall, DegreeTooSmall, EmptyVariety
@@ -23,23 +21,15 @@ from .field import PrimeField, value_table
 from .setfun import GridFunction
 
 
-@dataclass
-class Spectrum:
-    """Fourier coefficients of a grid function; coeffs[t] pairs with psi_t."""
-
-    field: PrimeField
-    coeffs: np.ndarray
+def dft(f: GridFunction) -> np.ndarray:
+    """fhat(t) for every t, entry t pairing with psi_t; norm="forward" puts
+    the 1/p on this side."""
+    return np.fft.fft(f.values, norm="forward")
 
 
-def dft(f: GridFunction) -> Spectrum:
-    """fhat(t) for every t; norm="forward" puts the 1/p on this side."""
-    coeffs = np.fft.fft(f.values, norm="forward")
-    return Spectrum(field=f.field, coeffs=coeffs)
-
-
-def inverse_dft(spec: Spectrum) -> np.ndarray:
+def inverse_dft(coeffs: np.ndarray) -> np.ndarray:
     """Reconstruct the p function values: the unscaled sum_t fhat(t) psi_t(x)."""
-    return np.fft.ifft(spec.coeffs, norm="forward")
+    return np.fft.ifft(coeffs, norm="forward")
 
 
 def weil_ratio(poly, field: PrimeField) -> float:
@@ -82,7 +72,6 @@ def lambda_prime_spectral(f2: GridFunction, fibers) -> float:
     """
     if f2.field.p != fibers.field.p:
         raise ValueError("function and fibers live on different fields")
-    spec = dft(f2)
     cs = char_sums_over_fibers(fibers)
-    total = np.dot(np.abs(spec.coeffs) ** 2, cs)
+    total = np.dot(np.abs(dft(f2)) ** 2, cs)
     return float(total.real)

@@ -17,42 +17,49 @@ from .errors import BadDensity
 from .field import PrimeField
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetSpec:
-    """A subset of F_p with sorted, de-duplicated members."""
+    """A subset of F_p as a read-only bool membership mask of length p."""
 
     field: PrimeField
-    members: tuple
+    mask: np.ndarray
 
     def __post_init__(self) -> None:
-        p = self.field.p
-        prev = -1
-        for m in self.members:
-            if not isinstance(m, int) or not 0 <= m < p:
-                raise ValueError(f"member {m!r} outside [0, {p})")
-            if m <= prev:
-                raise ValueError("members must be strictly increasing")
-            prev = m
+        mask = np.array(self.mask)  # a private copy: the caller keeps theirs
+        if mask.dtype != bool or mask.shape != (self.field.p,):
+            raise ValueError(
+                f"need a bool mask of shape ({self.field.p},), got"
+                f" {mask.dtype} of shape {mask.shape}"
+            )
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_members(cls, field: PrimeField, members) -> "SubsetSpec":
-        return cls(field, tuple(sorted({int(m) % field.p for m in members})))
+        mask = np.zeros(field.p, dtype=bool)
+        mask[[int(m) % field.p for m in members]] = True
+        return cls(field, mask)
 
     @classmethod
     def full(cls, field: PrimeField) -> "SubsetSpec":
-        return cls(field, tuple(range(field.p)))
+        return cls(field, np.ones(field.p, dtype=bool))
 
     @classmethod
     def empty(cls, field: PrimeField) -> "SubsetSpec":
-        return cls(field, ())
+        return cls(field, np.zeros(field.p, dtype=bool))
+
+    @property
+    def members(self) -> tuple:
+        """The members in increasing order."""
+        return tuple(int(m) for m in np.flatnonzero(self.mask))
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return int(np.count_nonzero(self.mask))
 
     @property
     def density(self) -> float:
-        return len(self.members) / self.field.p
+        return self.size / self.field.p
 
 
 @dataclass
@@ -74,16 +81,13 @@ class GridFunction:
 
 
 def indicator(subset: SubsetSpec) -> GridFunction:
-    v = np.zeros(subset.field.p, dtype=np.float64)
-    if subset.members:
-        v[list(subset.members)] = 1.0
-    return GridFunction(subset.field, v)
+    return GridFunction(subset.field, subset.mask.astype(np.float64))
 
 
 def balance(subset: SubsetSpec) -> GridFunction:
     """The balanced indicator 1_A - |A|/p, exactly mean zero."""
     f = indicator(subset)
-    f.values = f.values - len(subset.members) / subset.field.p
+    f.values = f.values - subset.density
     return f
 
 
@@ -102,9 +106,7 @@ def random_subset(field: PrimeField, density: float, seed: int) -> SubsetSpec:
     if not 0.0 <= density <= 1.0:
         raise BadDensity(f"density must lie in [0, 1]: got {density}")
     rng = np.random.default_rng(seed)
-    draws = rng.random(field.p)
-    members = np.flatnonzero(draws < density)
-    return SubsetSpec(field, tuple(members.tolist()))
+    return SubsetSpec(field, rng.random(field.p) < density)
 
 
 def parse_random_spec(spec: str) -> tuple[float, int]:

@@ -91,6 +91,23 @@ def test_parse_primes_range_length_is_capped():
     assert main(["count", "--pair", "y,y^2", "--primes", "3..2147483647"]) == EXIT_CONFIG
 
 
+def test_parse_primes_list_past_max_p_fails_before_any_work(tmp_path, capsys):
+    # 2147483659 is prime, so only the cap keeps p = 31's fibers from being written
+    with pytest.raises(ConfigError):
+        parse_primes("31,2147483659")
+    cache = tmp_path / "cache"
+    for argv in (
+        ["charsum", "--pair", "y,y^2", "--cache-dir", str(cache)],
+        ["count", "--pair", "y,y^2"],
+        ["expander", "--poly", "y^2"],
+    ):
+        assert main([*argv, "--primes", "31,2147483659"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "2**31" in captured.err
+    assert not cache.exists()
+
+
 def test_resolve_sets_random_fanout_bumps_seed():
     field = field_new(31)
     sets = resolve_sets("random:0.5:7", field, 3)

@@ -82,3 +82,16 @@ def test_eval_poly_matches_exact_arithmetic():
                     exact.numerator * pow(exact.denominator, p - 2, p)
                 ) % p
                 assert int(table[x]) == want
+
+
+def test_value_table_is_memoised_and_read_only():
+    f = field_new(31)
+    poly = parse_poly("y^2 + 3*y")
+    table = value_table(poly, f)
+    assert value_table(parse_poly("y^2 + 3*y"), field_new(31)) is table
+    with pytest.raises(ValueError):
+        table[0] = 1
+    for p in (37, 41, 43, 47, 53, 59, 61, 67, 71, 73):
+        value_table(poly, field_new(p))
+        value_table(parse_poly("y^3"), field_new(p))
+    assert value_table.cache_info().currsize <= 4

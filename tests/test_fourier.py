@@ -29,23 +29,23 @@ from ffprog import (
 
 def test_dft_point_mass():
     f = field_new(11)
-    spec = dft(indicator(SubsetSpec.from_members(f, [0])))
-    assert np.allclose(spec.coeffs, np.full(11, 1 / 11), atol=1e-12)
+    fhat = dft(indicator(SubsetSpec.from_members(f, [0])))
+    assert np.allclose(fhat, np.full(11, 1 / 11), atol=1e-12)
 
 
 def test_dft_constant_function():
     f = field_new(13)
-    spec = dft(GridFunction(f, np.ones(13)))
-    assert spec.coeffs[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.all(np.abs(spec.coeffs[1:]) < 1e-12)
+    fhat = dft(GridFunction(f, np.ones(13)))
+    assert fhat[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.abs(fhat[1:]) < 1e-12)
 
 
 def test_dft_zeroth_coefficient_is_mean():
     f = field_new(17)
     rng = np.random.default_rng(7)
     g = GridFunction(f, rng.normal(size=17))
-    spec = dft(g)
-    assert abs(spec.coeffs[0] - g.mean()) < 1e-12
+    fhat = dft(g)
+    assert abs(fhat[0] - g.mean()) < 1e-12
 
 
 def test_dft_inversion_roundtrip():
@@ -70,10 +70,9 @@ def close_to_direct(got, want, weights):
 def test_dft_and_inverse_match_direct_sum():
     for p in ORACLE_PRIMES:
         vals = np.random.default_rng(p).normal(size=p)
-        spec = dft(GridFunction(field_new(p), vals))
-        assert close_to_direct(spec.coeffs, direct_char_sums(vals, -1) / p, vals)
-        coeffs = spec.coeffs
-        assert close_to_direct(inverse_dft(spec), direct_char_sums(coeffs, 1), coeffs)
+        fhat = dft(GridFunction(field_new(p), vals))
+        assert close_to_direct(fhat, direct_char_sums(vals, -1) / p, vals)
+        assert close_to_direct(inverse_dft(fhat), direct_char_sums(fhat, 1), fhat)
 
 
 def test_weil_ratio_matches_direct_sum():
@@ -106,8 +105,8 @@ def test_parseval():
         f = field_new(p)
         rng = np.random.default_rng(seed)
         g = GridFunction(f, rng.normal(size=p))
-        spec = dft(g)
-        lhs = float(np.sum(np.abs(spec.coeffs) ** 2))
+        fhat = dft(g)
+        lhs = float(np.sum(np.abs(fhat) ** 2))
         rhs = float(np.mean(g.values**2))
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -230,9 +229,9 @@ def test_spectral_sum_is_real(standard_pairs, fibers_cache):
     f = field_new(13)
     fibers = fibers_cache(pair, 13)
     f2 = balance(random_subset(f, 0.4, seed=5))
-    spec = dft(f2)
+    fhat = dft(f2)
     cs = char_sums_over_fibers(fibers)
-    total = np.dot(np.abs(spec.coeffs) ** 2, cs)
+    total = np.dot(np.abs(fhat) ** 2, cs)
     assert abs(total.imag) < 1e-9
     assert lambda_prime_spectral(f2, fibers) == pytest.approx(total.real, abs=1e-15)
 

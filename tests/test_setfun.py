@@ -22,14 +22,22 @@ from ffprog import (
 GOLDEN_31_HALF_42 = (1, 4, 8, 9, 10, 14, 15, 17, 21, 25, 26, 27, 28)
 
 
-def test_subset_spec_validates_ordering():
+def test_subset_spec_mask_is_checked_copied_and_read_only():
     f = field_new(7)
     with pytest.raises(ValueError):
-        SubsetSpec(f, (3, 1))
+        SubsetSpec(f, (0, 1, 2, 3, 4, 5, 6))  # p member ints are not a mask
     with pytest.raises(ValueError):
-        SubsetSpec(f, (0, 0, 2))
+        SubsetSpec(f, np.zeros(6, dtype=bool))
     with pytest.raises(ValueError):
-        SubsetSpec(f, (0, 7))
+        SubsetSpec(f, np.zeros((7, 1), dtype=bool))
+    source = np.zeros(7, dtype=bool)
+    source[[1, 3]] = True
+    s = SubsetSpec(f, source)
+    with pytest.raises(ValueError):
+        s.mask[0] = True
+    source[:] = True
+    assert s.members == (1, 3)
+    assert s.size == 2
 
 
 def test_from_members_sorts_dedupes_reduces():
