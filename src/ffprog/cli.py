@@ -54,6 +54,7 @@ from .fourier import char_sums_over_fibers, lambda_prime_spectral, weil_ratio
 from .polys import build_aux_system, normalize_pair, parse_pair, parse_poly
 from .setfun import balance, parse_random_spec, parse_subset, random_subset
 from .symbolic import (
+    DEFAULT_THRESHOLD,
     MAX_CERT_DEGREE,
     certify_separation_equal,
     certify_separation_unequal,
@@ -65,6 +66,8 @@ from .variety import (
     FiberDistribution,
     GrowthRow,
     SCHEMA_VERSION,
+    admit,
+    atomic_temp_path,
     growth_report,
     write_text_atomic,
 )
@@ -185,13 +188,14 @@ COMMAND_FLAGS = {
     ),
     "verify": dict(
         pair=None, primes="31,41,53", budget=DEFAULT_BUDGET, cache_dir="ffprog-cache",
-        workers=1, seed=0, only=None, rmax=MAX_CERT_DEGREE, threshold=1e-6, out=None,
+        workers=1, seed=0, only=None, rmax=MAX_CERT_DEGREE, threshold=DEFAULT_THRESHOLD,
+        out=None,
     ),
     "expander": dict(
         poly=REQUIRED, primes="31..101", sets="random:0.5:0", format="csv", out=None
     ),
     "normalize": dict(pair=REQUIRED, out=None),
-    "certify": dict(rmax=MAX_CERT_DEGREE, threshold=1e-6, format="csv", out=None),
+    "certify": dict(rmax=MAX_CERT_DEGREE, threshold=DEFAULT_THRESHOLD, format="csv", out=None),
 }
 
 
@@ -256,21 +260,13 @@ def fiber_path(cache_dir: str, pair, p: int) -> str:
     return os.path.join(cache_dir, f"fibers_{pair.pair_hash()}_{p}.json")
 
 
-def get_fibers(
-    pair,
-    p: int,
-    budget: int,
-    cache_dir: str,
-    enumerator=None,
-    strict_cache: bool = False,
-):
+def get_fibers(pair, p: int, budget: int, cache_dir: str, oracle: str, strict_cache: bool):
     """Fetch a fiber distribution, preferring the file cache.
 
     With strict_cache a corrupt cached file propagates CorruptFiberFile (the
     verify command must surface tampering, not silently heal it); otherwise a
     bad cache entry is recomputed and overwritten.
     """
-    fn = enumerator or ENUMERATORS["fast"]
     path = fiber_path(cache_dir, pair, p)
     if os.path.exists(path):
         try:
@@ -278,25 +274,33 @@ def get_fibers(
         except CorruptFiberFile:
             if strict_cache:
                 raise
-    dist = fn(pair, field_new(p), budget=budget)
-    os.makedirs(cache_dir, exist_ok=True)
+    dist = ENUMERATORS[oracle](pair, field_new(p), budget=budget)
     dist.save(path)
     return dist
 
 
 def warm_fibers(
-    pairs, primes, budget, cache_dir, workers, enumerator=None, strict_cache=False
+    pairs, primes, budget, cache_dir, workers=1, oracle="fast", strict_cache=False
 ):
     """get_fibers for every (pair, p), keyed by (pair.key(), p).  With
-    strict_cache a corrupt cached file yields its CorruptFiberFile as the value."""
+    strict_cache a corrupt cached file yields its CorruptFiberFile as the value.
+    The whole sweep is admitted before the first enumeration; a cached (pair, p)
+    is not charged against the budget."""
+    jobs = [(pair, p) for pair in pairs for p in primes]
+    fields = {p: field_new(p) for p in primes}
+    for pair, p in jobs:
+        pair.require_char(fields[p])
+    for pair, p in jobs:
+        if not os.path.exists(fiber_path(cache_dir, pair, p)):
+            admit(pair, fields[p], budget, oracle)
+    os.makedirs(cache_dir or os.curdir, exist_ok=True)  # '' is the working directory
 
     def fetch(job):
         try:
-            return get_fibers(*job, budget, cache_dir, enumerator, strict_cache)
+            return get_fibers(*job, budget, cache_dir, oracle, strict_cache)
         except CorruptFiberFile as exc:
             return exc
 
-    jobs = [(pair, p) for pair in pairs for p in primes]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fetch, jobs))
@@ -308,51 +312,42 @@ def warm_fibers(
 # --- report emission -------------------------------------------------------------
 
 
-def _nearest_existing(path: str) -> str:
-    """path, or its nearest ancestor that exists."""
-    while not os.path.exists(path):
-        path = os.path.dirname(path)
-    return path
-
-
 def check_cache_dir(cache_dir: str | None) -> None:
     """Fail before any work on a --cache-dir that is, or lies under, a
     file other than a directory: the cache could never be made there."""
-    if cache_dir and not os.path.isdir(_nearest_existing(os.path.abspath(cache_dir))):
+    if not cache_dir:
+        return
+    path = os.path.abspath(cache_dir)
+    while not os.path.exists(path):  # up to its nearest existing ancestor
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
         raise ConfigError(f"--cache-dir {cache_dir!r}: {os.strerror(errno.ENOTDIR)}")
 
 
 def check_out(out: str | None, cache_dir: str | None) -> None:
-    """Fail before any work on an --out the report cannot be written to.
-
-    A missing directory passes only when it is the cache directory or one of
-    its ancestors; the cache directory is then made here, since a run that
-    reads no fibers would never make it."""
+    """Fail before any work on an --out the report cannot be written to: a
+    probe creates and removes write_text_atomic's temp file, so the file
+    system gives the answer.  A missing directory passes only when it is the
+    cache directory or one of its ancestors; the cache directory is then made
+    here, since a run that reads no fibers would never make it."""
     if not out:
         return
-    target = os.path.dirname(os.path.abspath(out))
-    cache_creates = cache_dir is not None and os.path.commonpath(
-        [target, os.path.abspath(cache_dir)]
-    ) == target
-    existing = _nearest_existing(target)
-    if out.endswith((os.sep, os.altsep or os.sep)):  # abspath drops the separator
-        code = errno.EISDIR
-    elif existing != target and not cache_creates:
-        code = errno.ENOENT
-    elif not os.path.isdir(existing):
-        code = errno.ENOTDIR
-    elif not os.access(existing, os.W_OK):
-        code = errno.EACCES
-    elif os.path.isdir(out) and not os.path.islink(out):  # rename replaces a link
-        code = errno.EISDIR
-    else:
-        if existing != target:
-            try:
+    if not out.endswith((os.sep, os.altsep or os.sep)):  # abspath drops the separator
+        target = os.path.dirname(os.path.abspath(out))
+        tmp = atomic_temp_path(out)
+        try:
+            if cache_dir is not None and not os.path.exists(target) and os.path.commonpath(
+                [target, os.path.abspath(cache_dir)]
+            ) == target:
                 os.makedirs(cache_dir, exist_ok=True)
-            except OSError as exc:
-                raise ConfigError(f"cannot write --out {out!r}: {exc.strerror}") from exc
-        return
-    raise ConfigError(f"cannot write --out {out!r}: {os.strerror(code)}")
+            with open(tmp, "w", encoding="utf-8"):
+                pass
+            os.unlink(tmp)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out!r}: {exc.strerror}") from exc
+        if not os.path.isdir(out) or os.path.islink(out):  # rename replaces a link
+            return
+    raise ConfigError(f"cannot write --out {out!r}: {os.strerror(errno.EISDIR)}")
 
 
 def _write_report(text: str, out: str | None) -> None:
@@ -428,13 +423,10 @@ def cmd_count(args) -> int:
 
 def cmd_variety(args) -> int:
     pair = normalize_pair(*parse_pair(args.pair))
-    primes = args.primes
-    for p in primes:
-        pair.require_char(field_new(p))
     fibers = warm_fibers(
-        [pair], primes, args.budget, args.cache_dir, args.workers, ENUMERATORS[args.oracle]
+        [pair], args.primes, args.budget, args.cache_dir, args.workers, args.oracle
     )
-    rows = growth_report({p: fibers[(pair.key(), p)] for p in primes})
+    rows = growth_report({p: fibers[(pair.key(), p)] for p in args.primes})
     emit_rows("variety", {"pair": args.pair}, GrowthRow._fields, rows, args.format, args.out)
     return EXIT_OK
 
@@ -442,11 +434,10 @@ def cmd_variety(args) -> int:
 def cmd_charsum(args) -> int:
     pair = normalize_pair(*parse_pair(args.pair))
     columns = ("p", "t", "real", "imag", "modulus")
+    fibers = warm_fibers([pair], args.primes, args.budget, args.cache_dir)
     rows = []
     for p in args.primes:
-        pair.require_char(field_new(p))
-        dist = get_fibers(pair, p, args.budget, args.cache_dir)
-        cs = char_sums_over_fibers(dist)
+        cs = char_sums_over_fibers(fibers[(pair.key(), p)])
         for t in range(p):
             rows.append(
                 (p, t, float(cs[t].real), float(cs[t].imag), float(abs(cs[t])))

@@ -101,14 +101,18 @@ def _preimage_lists(values: np.ndarray, p: int) -> list:
     return [roots[o : o + n] for o, n in zip(offsets.tolist(), counts.tolist())]
 
 
+def atomic_temp_path(path) -> str:
+    """The same-directory temp name write_text_atomic writes before its rename."""
+    return f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
+
+
 def write_text_atomic(path, text: str) -> None:
     """Write a file atomically: a same-directory temp file, then rename.
 
     Readers see either the old file or the complete new one, even if the
     writer dies midway or another worker writes the same path.
     """
-    path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    tmp = atomic_temp_path(path)
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -207,14 +211,17 @@ class FiberDistribution:
         return dist
 
 
-def work_estimate(pair: NormalizedPair, p: int) -> int:
-    """Elementary-step estimate r1 * r2 * p^4 that the budget gate charges
-    the fast and loop enumerators."""
-    return pair.r1 * pair.r2 * p**4
+def work_estimate(pair: NormalizedPair, p: int, oracle: str = "fast") -> int:
+    """Elementary-step estimate that the budget gate charges ENUMERATORS[oracle]:
+    p^8 for naive8, r1 * r2 * p^4 for fast and loop."""
+    return p**8 if oracle == "naive8" else pair.r1 * pair.r2 * p**4
 
 
-def _gate(pair: NormalizedPair, field: PrimeField, budget: int, est: int) -> None:
+def admit(pair: NormalizedPair, field: PrimeField, budget: int, oracle: str) -> None:
+    """The gate of ENUMERATORS[oracle]: CharTooSmall below the pair's
+    characteristic, WorkBudgetExceeded when the work estimate passes budget."""
     pair.require_char(field)
+    est = work_estimate(pair, field.p, oracle)
     if est > budget:
         raise WorkBudgetExceeded(
             f"estimated {est} steps for p = {field.p} exceeds budget {budget}"
@@ -239,7 +246,7 @@ def enumerate_fibers(
     budget: int = DEFAULT_BUDGET,
 ) -> FiberDistribution:
     """Exact Q-fiber histogram: K streamed by T2 slab, autocorrelated by Gram."""
-    _gate(pair, field, budget, work_estimate(pair, field.p))
+    admit(pair, field, budget, "fast")
     p = field.p
     t1 = value_table(pair.p1, field)
     t2 = value_table(pair.p2, field)
@@ -318,7 +325,7 @@ def enumerate_fibers_reference(
     by R1, R3, R4, then y8 from R2.  Pure Python, so only suitable for small
     p.  It reads the fast path's preimage layout but none of its logic.
     """
-    _gate(pair, field, budget, work_estimate(pair, field.p))
+    admit(pair, field, budget, "loop")
     p = field.p
     tables = [value_table(poly, field) for poly in (pair.p1, pair.p2, pair.p2prime)]
     t1, t2, t2p = (t.tolist() for t in tables)
@@ -361,7 +368,7 @@ def enumerate_fibers_naive(
     budget: int = DEFAULT_BUDGET,
 ) -> FiberDistribution:
     """Flat scan of all p^8 tuples.  The oracle; the gate charges p^8 steps."""
-    _gate(pair, field, budget, field.p**8)
+    admit(pair, field, budget, "naive8")
     p = field.p
     t1 = [int(v) for v in value_table(pair.p1, field)]
     t2 = [int(v) for v in value_table(pair.p2, field)]

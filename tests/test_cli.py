@@ -1,6 +1,7 @@
 """End-to-end checks of the command line: exit codes, report bytes, cache."""
 
 import csv
+import errno
 import glob
 import hashlib
 import json
@@ -171,6 +172,32 @@ def test_budget_exceeded_exit(tmp_path):
         ]
     )
     assert rc == EXIT_BUDGET
+
+
+OVER_SWEEP = ["--budget", str(10**10)]  # 257 and 263 fit it; 269 and 271 do not
+AT_269 = "estimated 10472228642 steps for p = 269"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["variety", "--primes", "257,263,269,271", *OVER_SWEEP, "--workers", "1"], AT_269),
+        (["variety", "--primes", "257,263,269,271", *OVER_SWEEP, "--workers", "2"], AT_269),
+        (["charsum", "--primes", "257,269", *OVER_SWEEP], AT_269),
+        (["verify", "--primes", "257,269", "--only", "sandwich", *OVER_SWEEP], AT_269),
+        # naive8 is charged 5^8 = 390625 at p = 5 and 7^8 at p = 7
+        (["variety", "--oracle", "naive8", "--primes", "5,7", "--budget", "390625"],
+         "estimated 5764801 steps for p = 7"),
+    ],
+    ids=["variety", "variety-workers-2", "charsum", "verify", "naive8"],
+)
+def test_sweep_over_budget_exits_before_any_enumeration(tmp_path, capsys, argv, err):
+    cache = tmp_path / "cache"
+    assert main([*argv, "--pair", "y,y^2", "--cache-dir", str(cache)]) == EXIT_BUDGET
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith(f"error: {err} exceeds budget")
+    assert not cache.exists()  # not one fiber file of the primes that fit
 
 
 def test_unknown_subcommand_is_config_error(capsys):
@@ -379,6 +406,18 @@ def test_out_with_trailing_separator_fails_before_work(tmp_path, capsys, monkeyp
     assert os.listdir(tmp_path) == []
 
 
+def test_out_name_too_long_fails_before_work(tmp_path, capsys, monkeypatch):
+    # the name fits NAME_MAX (255 on Linux), write_text_atomic's temp name does not
+    monkeypatch.chdir(tmp_path)
+    out = "r" * 250 + ".json"
+    args = ["verify", "--pair", "y,y^2", "--primes", "7", "--only", "lm", "--out", out]
+    assert main(args) == EXIT_CONFIG
+    cap = capsys.readouterr()
+    assert cap.out == ""  # no table: the check ran before the work
+    assert cap.err == f"error: cannot write --out {out!r}: {os.strerror(errno.ENAMETOOLONG)}\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_naive8_budget_exceeded_exit(tmp_path, capsys):
     # 5^8 = 390625 tuples: over this budget for naive8, not for fast
     args = ["variety", "--pair", "y,y^2", "--primes", "5", "--budget", "390624"]
@@ -501,6 +540,24 @@ def test_charsum_rows(tmp_path):
     assert len(rows) == 7
     assert float(rows[0]["modulus"]) == 1.0
     assert all(float(r["modulus"]) <= 1.0 + 1e-12 for r in rows)
+
+
+def test_charsum_charges_only_uncached_primes(tmp_path):
+    cache = tmp_path / "cache"
+    args = ["charsum", "--pair", "y,y^2", "--primes", "7", "--cache-dir", str(cache)]
+    assert main(args + ["--out", str(tmp_path / "a.csv")]) == EXIT_OK
+    assert main(args + ["--budget", "1", "--out", str(tmp_path / "b.csv")]) == EXIT_OK
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    # a corrupt file is rebuilt, and the rebuild is charged
+    truncate_cached_fibers(cache)
+    assert main(args + ["--budget", "1", "--out", str(tmp_path / "c.csv")]) == EXIT_BUDGET
+
+
+def test_empty_cache_dir_is_the_working_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["variety", "--pair", "y,y^2", "--primes", "5", "--cache-dir", ""]) == EXIT_OK
+    assert glob.glob("fibers_*_5.json")
+    capsys.readouterr()
 
 
 def test_charsum_heals_corrupt_cache(tmp_path):

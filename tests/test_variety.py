@@ -267,7 +267,8 @@ def test_w_size_exact_beyond_int64(standard_pairs):
 
 def test_work_estimate_formula(standard_pairs):
     pair = standard_pairs["y^2,y^3"]
-    assert work_estimate(pair, 7) == 2 * 3 * 7**4
+    assert work_estimate(pair, 7) == work_estimate(pair, 7, "loop") == 2 * 3 * 7**4
+    assert work_estimate(pair, 7, "naive8") == 7**8
 
 
 def test_budget_gate(standard_pairs):
