@@ -30,12 +30,14 @@ each root slot j < max_v #P1^-1(v) gets one p x 2p table: row u3, column x
 holds G = P2(u4) - P2(u3) mod p for the j-th root u4 of P1 at x mod p, or p,
 the trash column, where x mod p has at most j roots.  A slot's keys are then
 one gather, with no mask, no reduction mod p and no concatenation.  A batch
-of whole slabs (about BATCH_ROWS keys: one per slot and base row, plus the
-p(p + 1) cells of K per slab) histograms its keys with one bincount into
-rows p + 1 wide, drops the trash column with a view, and adds that block's
-Gram product to the running p x p total.  Memory is therefore
-O(slots * p^2 + BATCH_ROWS) and the work O(deg(P1) * p^3 + p^4) with the
-p^4 term in BLAS.
+of whole slabs (about BATCH_ROWS = 2^16 keys: one per slot and base row,
+plus the p(p + 1) cells of K per slab) histograms its keys with one bincount
+into rows p + 1 wide, drops the trash column with a view, and adds that
+block's Gram product to the running p x p total.  The budget is sized so
+that a batch's working set stays in a per-core L2 cache while a slab fits
+in it, and the cell, row-key and key buffers are allocated once, at the
+largest batch, and refilled in place.  Memory is therefore O(slots * p^2 + BATCH_ROWS) and the
+work O(deg(P1) * p^3 + p^4) with the p^4 term in BLAS.
 
 The Gram product runs in float64 yet is exact.  Every entry of K is a
 nonnegative integer, so every partial sum BLAS forms, in whatever order, is
@@ -74,11 +76,19 @@ SCHEMA_VERSION = 1
 
 # Keys per batch of the fast enumerator: one per root slot of P1 and base
 # row (u1, u2, u3).  Batches hold whole T2 slabs, and each slab also counts
-# its p(p + 1) cells of K.
-BATCH_ROWS = 1 << 20
+# its p(p + 1) cells of K.  2**16 int64 keys are 512 KiB, so one batch's
+# key, cell and row-key buffers and its K block fit in a 4 MiB L2 together
+# while a slab costs less than the budget (about 2p^2 < 2**16, p up to 181);
+# past that a batch is one slab.  The three fibers-cold enumerations
+# (y,y^2 at 151 and 173, y^2,y^3 at 131) in one process peaked at
+# 70 / 46 / 40 / 39 MB RSS with 2**20 / 2**18 / 2**16 / 2**14 keys.
+BATCH_ROWS = 1 << 16
 
 # float64 holds every integer below 2**53 exactly; see the module docstring.
 EXACT_LIMIT = 1 << 53
+
+# Batches with fewer keys than this sum their squared K row sums in int64.
+SQUARE_SUM_KEYS = 1 << 31
 
 
 def _csr_preimages(values: np.ndarray, p: int):
@@ -194,8 +204,13 @@ class FiberDistribution:
                 raise CorruptFiberFile(f"{path}: fiber file is for a different pair")
             if raw.get("p") != p:
                 raise CorruptFiberFile(f"{path}: fiber file is for p={raw.get('p')!r}, not p={p}")
+            counts = raw["c"]
+            # np.asarray would cast "335" and 335.0 to 335; a count must be a
+            # JSON integer (bool is a subclass of int and is rejected too)
+            if not isinstance(counts, list) or any(type(v) is not int for v in counts):
+                raise CorruptFiberFile(f"{path}: fiber counts are not all JSON integers")
             field = field_new(p)
-            dist = cls.from_histogram(field, pair, raw["c"])
+            dist = cls.from_histogram(field, pair, counts)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorruptFiberFile(f"{path}: {type(exc).__name__}: {exc}") from exc
         for key, got in (
@@ -248,6 +263,24 @@ def enumerate_fibers(
     """Exact Q-fiber histogram: K streamed by T2 slab, autocorrelated by Gram."""
     admit(pair, field, budget, "fast")
     p = field.p
+    gram, v_size = _k_gram(pair, field)
+    idx = np.arange(p)
+    shifted = np.take_along_axis(
+        gram.astype(np.int64), (idx[:, None] + idx[None, :]) % p, axis=1
+    )
+    c = shifted.sum(axis=0)
+    if int(c.sum()) != v_size:
+        raise ArithmeticError(
+            f"p = {p}: Gram autocorrelation sums to {int(c.sum())}, not |V| = {v_size}"
+        )
+    return FiberDistribution.from_histogram(field, pair, c)
+
+
+def _k_gram(pair: NormalizedPair, field: PrimeField) -> tuple[np.ndarray, int]:
+    """Gram = K^T K as exact float64 integers, and |V| = sum of K's squared
+    row sums, streaming K by batches of T2 slabs.  Its tables and batch
+    buffers are freed on return, before the caller's p x p index arithmetic."""
+    p = field.p
     t1 = value_table(pair.p1, field)
     t2 = value_table(pair.p2, field)
     t2p = value_table(pair.p2prime, field)
@@ -265,35 +298,52 @@ def enumerate_fibers(
     g_table = g_table.reshape(slots, -1)
 
     # CSR list of the pairs (u1, u3), flat index u1*p + u3, by T2 slab.
-    z2 = ((t2p[None, :] - t2p[:, None]) % p).ravel()
-    slab_pairs, slab_start, slab_order = _csr_preimages(z2, p)
+    slab_pairs, slab_start, slab_order = _csr_preimages(
+        ((t2p[None, :] - t2p[:, None]) % p).ravel(), p
+    )
 
     # K rows are p + 1 wide: the p values of G, then the trash column.
     # T3 * (p + 1) for every (u1, u2): the middle digit of the K key.
     width = p + 1
     t3_key = ((t2[None, :] - t2[:, None]) % p) * width
 
+    # Batches, then one buffer each for the cells, row keys and slot keys of
+    # the largest batch; every batch fills a contiguous prefix of them.
+    batches = list(_slab_batches(slots * slab_pairs * p + p * width))
+    most = max(int(slab_pairs[lo:hi].sum()) for lo, hi in batches) * p
+    cell_buf = np.empty(most, dtype=np.int64)
+    row_key_buf = np.empty(most, dtype=np.int64)
+    keys_buf = np.empty(slots * most, dtype=np.int64)
+
     gram = np.zeros((p, p))
     v_size = 0
-    for lo, hi in _slab_batches(slots * slab_pairs * p + p * width):
+    for lo, hi in batches:
         n_pairs = int(slab_pairs[lo:hi].sum())
         u1, u3 = np.divmod(slab_order[slab_start[lo] : slab_start[lo] + n_pairs], p)
         slab = np.repeat(np.arange(hi - lo, dtype=np.int64), slab_pairs[lo:hi])
         # One key per (pair, u2, slot): u4 is the slot's root of P1 at
-        # P1(u2) + P1(u3) - P1(u1), a column in [0, 2p) of row u3.
-        row_key = t3_key[u1] + (slab * (p * width))[:, None]
-        cell = (u3 * (2 * p) + (t1[u3] - t1[u1]) % p)[:, None] + t1
-        keys = np.empty((slots, *cell.shape), dtype=np.int64)
+        # P1(u2) + P1(u3) - P1(u1), a column in [0, 2p) of row u3.  Every
+        # index below is in range, so "clip" never clips; it lets take write
+        # into out without the buffered copy that mode "raise" makes.
+        row_key = row_key_buf[: n_pairs * p].reshape(n_pairs, p)
+        np.take(t3_key, u1, axis=0, out=row_key, mode="clip")
+        row_key += (slab * (p * width))[:, None]
+        cell = cell_buf[: n_pairs * p].reshape(n_pairs, p)
+        np.add((u3 * (2 * p) + (t1[u3] - t1[u1]) % p)[:, None], t1, out=cell)
+        keys = keys_buf[: slots * n_pairs * p].reshape(slots, n_pairs, p)
         for j in range(slots):
-            # every cell is below 2p^2 = len(g_table[j]), so "clip" never
-            # clips; it lets take write into out without the buffered
-            # copy that mode "raise" makes
             np.take(g_table[j], cell, out=keys[j], mode="clip")
             keys[j] += row_key
         kb = np.bincount(keys.ravel(), minlength=(hi - lo) * p * width)
         kb = kb.reshape(-1, width)[:, :p]
 
-        v_size += sum(r * r for r in kb.sum(axis=1).tolist())
+        # Row sums r of K: sum r^2 <= (sum r)^2 <= keys.size^2, which is
+        # below 2**62, so exact in int64, while keys.size < SQUARE_SUM_KEYS.
+        rs = kb.sum(axis=1)
+        if keys.size < SQUARE_SUM_KEYS:
+            v_size += int(rs @ rs)
+        else:
+            v_size += sum(r * r for r in rs.tolist())
         if v_size >= EXACT_LIMIT:
             raise WorkBudgetExceeded(
                 f"p = {p}: |V| reaches {EXACT_LIMIT}, the exactness limit of "
@@ -301,17 +351,7 @@ def enumerate_fibers(
             )
         kf = kb.astype(np.float64)
         gram += kf.T @ kf
-
-    idx = np.arange(p)
-    shifted = np.take_along_axis(
-        gram.astype(np.int64), (idx[:, None] + idx[None, :]) % p, axis=1
-    )
-    c = shifted.sum(axis=0)
-    if int(c.sum()) != v_size:
-        raise ArithmeticError(
-            f"p = {p}: Gram autocorrelation sums to {int(c.sum())}, not |V| = {v_size}"
-        )
-    return FiberDistribution.from_histogram(field, pair, c)
+    return gram, v_size
 
 
 def enumerate_fibers_reference(

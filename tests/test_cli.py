@@ -749,6 +749,27 @@ def test_verify_tampered_fiber_file_fails_spectral(tmp_path, capsys):
     assert passing == {"decomposition", "weil", "lm", "certificates"}
 
 
+def test_fiber_file_counts_must_be_json_integers(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    verify = ["verify", "--pair", "y,y^2", "--primes", "7", "--only", "sandwich"]
+    variety_args = ["variety", "--pair", "y,y^2", "--primes", "7"]
+    assert main([*verify, "--cache-dir", str(cache)]) == EXIT_OK
+    (path,) = glob.glob(str(cache / "fibers_*.json"))
+    clean = open(path, "rb").read()
+    # same values, digest and totals; only the JSON types of the counts change
+    doc = json.loads(clean)
+    doc["c"] = [float(v) if i % 2 == 0 else str(v) for i, v in enumerate(doc["c"])]
+    json.dump(doc, open(path, "w"))
+    capsys.readouterr()
+    assert main([*verify, "--cache-dir", str(cache)]) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert [line.split()[:2] for line in out.splitlines() if line.startswith(("PASS", "FAIL"))] == [
+        ["FAIL", "sandwich"]
+    ]
+    assert main([*variety_args, "--cache-dir", str(cache)]) == EXIT_OK
+    assert open(path, "rb").read() == clean
+
+
 def test_verify_weil_detail_is_a_plain_float(tmp_path, capsys):
     out = tmp_path / "verify.json"
     args = ["verify", "--only", "weil", "--pair", "y,y^2", "--primes", "7,11"]

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -165,6 +166,32 @@ def test_pinned_sizes_y_y2_p101(standard_pairs):
     # recorded from the enumerator that materialised K[t2, t3, g] whole
     d = enumerate_fibers(standard_pairs["y,y^2"], field_new(101))
     assert (d.v_size, d.w_size, d.max_fiber) == (107100501, 122782302481301, 4080601)
+
+
+def test_square_sum_python_path_matches_int64(standard_pairs, monkeypatch):
+    pair = standard_pairs["y^2,y^3"]
+    f = field_new(31)
+    want = enumerate_fibers(pair, f)
+    monkeypatch.setattr(variety, "SQUARE_SUM_KEYS", 0)
+    got = enumerate_fibers(pair, f)
+    assert got.c.tolist() == want.c.tolist()
+    assert got.v_size == want.v_size
+
+
+@pytest.mark.parametrize("spec", ["y,y^2", "y^2,y^3"])
+def test_enumeration_memory_is_batch_sized(standard_pairs, spec):
+    # batches of 2**20 keys peaked at 28.4 MiB (y,y^2) and 22.3 MiB (y^2,y^3)
+    pair = standard_pairs[spec]
+    f = field_new(101)
+    for poly in (pair.p1, pair.p2, pair.p2prime):
+        value_table(poly, f)
+    tracemalloc.start()
+    try:
+        enumerate_fibers(pair, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_exactness_limit_fails_fast(standard_pairs, monkeypatch):
@@ -369,7 +396,15 @@ def test_load_rejects_malformed_files(standard_pairs, fibers_cache, tmp_path):
     def null_p(raw):
         raw["p"] = None
 
-    bad = [tampered(path, tmp_path, m) for m in (drop_counts, text_counts, huge_counts, composite_p, null_p)]
+    # the stored totals and digest still match these counts' values
+    def float_counts(raw):
+        raw["c"] = [float(v) for v in raw["c"]]
+
+    def string_counts(raw):
+        raw["c"] = [str(v) for v in raw["c"]]
+
+    mutations = (drop_counts, text_counts, huge_counts, composite_p, null_p, float_counts, string_counts)
+    bad = [tampered(path, tmp_path, m) for m in mutations]
     for name, body in (("truncated.json", text[:200]), ("list.json", "[]"), ("empty.json", "")):
         bad.append(tmp_path / name)
         bad[-1].write_text(body)
