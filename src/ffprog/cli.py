@@ -219,18 +219,19 @@ def build_parser() -> argparse.ArgumentParser:
 def load_config(path: str) -> list[str]:
     """A flat key = value file as '--key=value' tokens, so its values go
     through the same parser, types and choices as the flags."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path!r}")
     tokens = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{lineno}: expected key=value")
+                key, value = line.split("=", 1)
+                tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}") from exc
     return tokens
 
 
@@ -275,7 +276,10 @@ def get_fibers(pair, p: int, budget: int, cache_dir: str, oracle: str, strict_ca
             if strict_cache:
                 raise
     dist = ENUMERATORS[oracle](pair, field_new(p), budget=budget)
-    dist.save(path)
+    try:
+        dist.save(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write fiber file {path!r}: {exc.strerror}") from exc
     return dist
 
 

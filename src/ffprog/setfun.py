@@ -8,7 +8,6 @@ literal ``random:<density>:<seed>``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,12 +131,13 @@ def parse_subset(spec: str, field: PrimeField) -> SubsetSpec:
     s = spec.strip()
     if s.startswith("random:"):
         return random_subset(field, *parse_random_spec(s))
-    if not os.path.exists(s):
-        raise ValueError(f"subset file not found: {spec!r}")
     members = []
-    with open(s, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                members.append(int(line))
+    try:
+        with open(s, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.split("#", 1)[0].strip()
+                if line:
+                    members.append(int(line))
+    except OSError as exc:
+        raise ValueError(f"cannot read subset file {s!r}: {exc.strerror}") from None
     return SubsetSpec.from_members(field, members)

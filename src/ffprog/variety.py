@@ -167,7 +167,7 @@ class FiberDistribution:
         )
 
     def digest(self) -> str:
-        payload = ",".join(str(int(v)) for v in self.c)
+        payload = ",".join(map(str, self.c.tolist()))
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_json_dict(self) -> dict:
@@ -176,7 +176,7 @@ class FiberDistribution:
             "p": self.field.p,
             "pair": self.pair.key(),
             "pair_hash": self.pair.pair_hash(),
-            "c": [int(v) for v in self.c],
+            "c": self.c.tolist(),
             "v_size": self.v_size,
             "w_size": self.w_size,
             "max_fiber": self.max_fiber,
@@ -189,41 +189,30 @@ class FiberDistribution:
 
     @classmethod
     def load(cls, path, pair: NormalizedPair, p: int) -> "FiberDistribution":
-        """Read and check the fiber file of (pair, p); a file for another pair
-        or prime, or malformed content, is CorruptFiberFile."""
+        """Read the fiber file of (pair, p).  It is accepted only if it is the
+        document save writes for the counts it holds, compared as canonical
+        JSON: every key, value and JSON type.  Anything else, an unreadable
+        path included, is CorruptFiberFile."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
             if not isinstance(raw, dict):
                 raise CorruptFiberFile(f"{path}: fiber file is not a JSON object")
-            if raw.get("schema") != SCHEMA_VERSION:
-                raise CorruptFiberFile(
-                    f"{path}: unsupported schema {raw.get('schema')}"
-                )
-            if raw.get("pair") != pair.key() or raw.get("pair_hash") != pair.pair_hash():
-                raise CorruptFiberFile(f"{path}: fiber file is for a different pair")
             if raw.get("p") != p:
                 raise CorruptFiberFile(f"{path}: fiber file is for p={raw.get('p')!r}, not p={p}")
-            counts = raw["c"]
-            # np.asarray would cast "335" and 335.0 to 335; a count must be a
-            # JSON integer (bool is a subclass of int and is rejected too)
-            if not isinstance(counts, list) or any(type(v) is not int for v in counts):
-                raise CorruptFiberFile(f"{path}: fiber counts are not all JSON integers")
-            field = field_new(p)
-            dist = cls.from_histogram(field, pair, counts)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            dist = cls.from_histogram(field_new(p), pair, raw["c"])
+        except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise CorruptFiberFile(f"{path}: {type(exc).__name__}: {exc}") from exc
-        for key, got in (
-            ("v_size", dist.v_size),
-            ("w_size", dist.w_size),
-            ("max_fiber", dist.max_fiber),
-            ("digest", dist.digest()),
-        ):
-            if raw.get(key) != got:
-                raise CorruptFiberFile(
-                    f"{path}: stored {key} {raw.get(key)!r} != derived {got!r}"
-                )
+        want = dist.to_json_dict()
+        if _canonical(raw) != _canonical(want):
+            got, exp = ({k: _canonical(v) for k, v in doc.items()} for doc in (raw, want))
+            key = min(k for k, _ in got.items() ^ exp.items())
+            raise CorruptFiberFile(f"{path}: key {key!r} is not what save writes for these counts")
         return dist
+
+
+def _canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True)
 
 
 def work_estimate(pair: NormalizedPair, p: int, oracle: str = "fast") -> int:

@@ -142,6 +142,22 @@ def test_bad_random_sets_spec_names_the_flag(spec, capsys):
         assert err.startswith("error: --sets") and repr(spec) in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--pair", "y,y^2", "--sets", "{d}"],
+        ["count", "--pair", "y,y^2", "--config", "{d}"],
+        ["expander", "--poly", "y^2", "--sets", "{d},{d}"],
+    ],
+)
+def test_directory_as_sets_or_config_exits_config(argv, tmp_path, capsys):
+    assert main([*(a.format(d=tmp_path) for a in argv), "--primes", "31"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(("error: cannot read", "error: --sets: cannot read"))
+    assert captured.err.count("\n") == 1 and os.strerror(errno.EISDIR) in captured.err
+
+
 # --- exit codes -------------------------------------------------------------
 
 
@@ -756,18 +772,41 @@ def test_fiber_file_counts_must_be_json_integers(tmp_path, capsys):
     assert main([*verify, "--cache-dir", str(cache)]) == EXIT_OK
     (path,) = glob.glob(str(cache / "fibers_*.json"))
     clean = open(path, "rb").read()
-    # same values, digest and totals; only the JSON types of the counts change
     doc = json.loads(clean)
-    doc["c"] = [float(v) if i % 2 == 0 else str(v) for i, v in enumerate(doc["c"])]
-    json.dump(doc, open(path, "w"))
+    # same values, digest and totals; only the JSON types of the counts, or
+    # of the prime, change
+    mixed_counts = dict(doc, c=[float(v) if i % 2 == 0 else str(v) for i, v in enumerate(doc["c"])])
+    float_p = dict(doc, p=7.0)
+    for bad in (mixed_counts, float_p):
+        json.dump(bad, open(path, "w"))
+        capsys.readouterr()
+        assert main([*verify, "--cache-dir", str(cache)]) == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert [line.split()[:2] for line in out.splitlines() if line.startswith(("PASS", "FAIL"))] == [
+            ["FAIL", "sandwich"]
+        ]
+        assert main([*variety_args, "--cache-dir", str(cache)]) == EXIT_OK
+        assert open(path, "rb").read() == clean
+
+
+def test_fiber_file_that_is_a_directory(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    verify = ["verify", "--pair", "y,y^2", "--primes", "7", "--only", "sandwich"]
+    assert main([*verify, "--cache-dir", str(cache)]) == EXIT_OK
+    (path,) = glob.glob(str(cache / "fibers_*.json"))
+    os.unlink(path)
+    os.mkdir(path)
     capsys.readouterr()
     assert main([*verify, "--cache-dir", str(cache)]) == EXIT_CHECK_FAILED
     out = capsys.readouterr().out
     assert [line.split()[:2] for line in out.splitlines() if line.startswith(("PASS", "FAIL"))] == [
         ["FAIL", "sandwich"]
     ]
-    assert main([*variety_args, "--cache-dir", str(cache)]) == EXIT_OK
-    assert open(path, "rb").read() == clean
+    assert main(["variety", "--pair", "y,y^2", "--primes", "7", "--cache-dir", str(cache)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write fiber file {path!r}: {os.strerror(errno.EISDIR)}\n"
+    assert os.listdir(path) == [] and os.listdir(cache) == [os.path.basename(path)]
 
 
 def test_verify_weil_detail_is_a_plain_float(tmp_path, capsys):

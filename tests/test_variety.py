@@ -334,7 +334,7 @@ def test_save_load_roundtrip(standard_pairs, fibers_cache, tmp_path):
 def tampered(path, tmp_path, mutate):
     raw = json.loads(path.read_text())
     mutate(raw)
-    out = tmp_path / "tampered.json"
+    out = tmp_path / f"tampered_{mutate.__name__}.json"
     out.write_text(json.dumps(raw))
     return out
 
@@ -403,9 +403,33 @@ def test_load_rejects_malformed_files(standard_pairs, fibers_cache, tmp_path):
     def string_counts(raw):
         raw["c"] = [str(v) for v in raw["c"]]
 
-    mutations = (drop_counts, text_counts, huge_counts, composite_p, null_p, float_counts, string_counts)
+    # counts and digest kept; a JSON type or an extra key differs from save's
+    def float_p(raw):
+        raw["p"] = 7.0
+
+    def bool_schema(raw):
+        raw["schema"] = True
+
+    def float_v_size(raw):
+        raw["v_size"] = float(raw["v_size"])
+
+    def float_w_size(raw):
+        raw["w_size"] = float(raw["w_size"])
+
+    def float_max_fiber(raw):
+        raw["max_fiber"] = float(raw["max_fiber"])
+
+    def extra_key(raw):
+        raw["note"] = "hand edited"
+
+    mutations = (
+        drop_counts, text_counts, huge_counts, composite_p, null_p, float_counts, string_counts,
+        float_p, bool_schema, float_v_size, float_w_size, float_max_fiber, extra_key,
+    )
     bad = [tampered(path, tmp_path, m) for m in mutations]
-    for name, body in (("truncated.json", text[:200]), ("list.json", "[]"), ("empty.json", "")):
+    assert len(set(bad)) == len(mutations)
+    deep = "[" * 10**5 + "]" * 10**5  # past json's recursion limit
+    for name, body in (("truncated.json", text[:200]), ("list.json", "[]"), ("empty.json", ""), ("deep.json", deep)):
         bad.append(tmp_path / name)
         bad[-1].write_text(body)
     for bad_path in bad:
