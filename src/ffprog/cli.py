@@ -289,7 +289,8 @@ def warm_fibers(
     """get_fibers for every (pair, p), keyed by (pair.key(), p).  With
     strict_cache a corrupt cached file yields its CorruptFiberFile as the value.
     The whole sweep is admitted before the first enumeration; a cached (pair, p)
-    is not charged against the budget."""
+    is not charged against the budget, and every fiber file the sweep may
+    write is probed first."""
     jobs = [(pair, p) for pair in pairs for p in primes]
     fields = {p: field_new(p) for p in primes}
     for pair, p in jobs:
@@ -298,6 +299,8 @@ def warm_fibers(
         if not os.path.exists(fiber_path(cache_dir, pair, p)):
             admit(pair, fields[p], budget, oracle)
     os.makedirs(cache_dir or os.curdir, exist_ok=True)  # '' is the working directory
+    for pair, p in jobs:
+        check_fiber_writable(fiber_path(cache_dir, pair, p), pair, p, strict_cache)
 
     def fetch(job):
         try:
@@ -311,6 +314,26 @@ def warm_fibers(
     else:
         results = [fetch(job) for job in jobs]
     return {(pair.key(), p): dist for (pair, p), dist in zip(jobs, results)}
+
+
+def check_fiber_writable(path: str, pair, p: int, strict_cache: bool) -> None:
+    """Fail before any enumeration on a fiber file that get_fibers would have
+    to write but could not: a missing one, or without strict_cache a corrupt
+    one.  A cached file is loaded only when the probe fails, to tell a sound
+    file, which is never rewritten, from a corrupt one."""
+    cached = os.path.exists(path)
+    if cached and strict_cache:
+        return
+    try:
+        probe_write(path)
+    except OSError as exc:
+        if cached:
+            try:
+                FiberDistribution.load(path, pair, p)
+                return
+            except CorruptFiberFile:
+                pass
+        raise ConfigError(f"cannot write fiber file {path!r}: {exc.strerror}") from exc
 
 
 # --- report emission -------------------------------------------------------------
@@ -336,22 +359,29 @@ def check_out(out: str | None, cache_dir: str | None) -> None:
     here, since a run that reads no fibers would never make it."""
     if not out:
         return
-    if not out.endswith((os.sep, os.altsep or os.sep)):  # abspath drops the separator
-        target = os.path.dirname(os.path.abspath(out))
-        tmp = atomic_temp_path(out)
-        try:
-            if cache_dir is not None and not os.path.exists(target) and os.path.commonpath(
-                [target, os.path.abspath(cache_dir)]
-            ) == target:
-                os.makedirs(cache_dir, exist_ok=True)
-            with open(tmp, "w", encoding="utf-8"):
-                pass
-            os.unlink(tmp)
-        except OSError as exc:
-            raise ConfigError(f"cannot write --out {out!r}: {exc.strerror}") from exc
-        if not os.path.isdir(out) or os.path.islink(out):  # rename replaces a link
-            return
-    raise ConfigError(f"cannot write --out {out!r}: {os.strerror(errno.EISDIR)}")
+    if out.endswith((os.sep, os.altsep or os.sep)):  # abspath drops the separator
+        raise ConfigError(f"cannot write --out {out!r}: {os.strerror(errno.EISDIR)}")
+    target = os.path.dirname(os.path.abspath(out))
+    try:
+        if cache_dir is not None and not os.path.exists(target) and os.path.commonpath(
+            [target, os.path.abspath(cache_dir)]
+        ) == target:
+            os.makedirs(cache_dir, exist_ok=True)
+        probe_write(out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out!r}: {exc.strerror}") from exc
+
+
+def probe_write(path: str) -> None:
+    """OSError unless write_text_atomic could write path: its temp file is
+    created and removed, so the file system gives the answer, and path is
+    no directory, which the rename cannot replace (a link it can)."""
+    tmp = atomic_temp_path(path)
+    with open(tmp, "w", encoding="utf-8"):
+        pass
+    os.unlink(tmp)
+    if os.path.isdir(path) and not os.path.islink(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _write_report(text: str, out: str | None) -> None:

@@ -1,8 +1,9 @@
 """Progression counts and the averaged trilinear forms built on them.
 
 The central count is N(A, B, C) = #{(x, y) : x in A, x + P1(y) in B,
-x + P2(y) in C}, an exact integer: one popcount per y of three bit-packed
-windows, so O(p^2 / 64) word operations.  Its normalized companion is
+x + P2(y) in C}, an exact integer: the popcount of three bit-packed
+windows per y, gathered in blocks of y, so O(p^2 / 64) word operations.
+Its normalized companion is
 
     L(f0, f1, f2) = E_{x,y} f0(x) f1(x + P1(y)) f2(x + P2(y))
 
@@ -50,7 +51,6 @@ def _check_same_field(field: PrimeField, *fs: GridFunction) -> None:
 
 
 WORD = 64
-CHUNK_ROWS = 1024  # value-table rows turned into Python ints at a time
 
 
 def _pack_bits(bits: np.ndarray, words: int) -> np.ndarray:
@@ -64,40 +64,54 @@ def _pack_bits(bits: np.ndarray, words: int) -> np.ndarray:
 def _packed_count(a: SubsetSpec, b: SubsetSpec, c: SubsetSpec, s1, s2) -> int:
     """sum_r #{x : x in A, x + s1[r] in B, x + s2[r] in C}, indices mod p.
 
-    Each row is the popcount of A & rot(B, s1[r]) & rot(C, s2[r]) over
+    Row r is the popcount of A & rot(B, s1[r]) & rot(C, s2[r]) over
     w = ceil(p/64) words.  Row k of a phase table holds the doubled set
-    from bit k on, so rot(B, s) is the view phase[s % 64, s // 64 :][:w];
-    bits past p in that window are masked by A's zero tail.  Exact: a
-    word's popcount is at most 64, so the per-word uint64 sums stay below
-    64p, and the Python-int total is at most p^2 < 2^62 for p < 2^31.
+    from bit k on, so rot(X, s) is phase[s % 64, s // 64 :][:w]; bits past
+    p in that window are masked by A's zero tail.  The windows of a table
+    are one overlapping (64, p // 64 + 1, w) view of it, and the shifts go
+    in blocks of R = max(1, COUNT_BLOCK // w): one two-axis fancy index
+    gathers the block's B windows into an (R, w) array, its C windows and
+    A are and-ed into that in place, and one popcount and one uint64 sum
+    give the block's count.  Memory per call is the two phase tables,
+    about 16p bytes each, plus two blocks of 8·R·w bytes: a block and the
+    C windows and-ed into it, or the next block gathered while the last is
+    still bound.  Exact: a block sums at most 64·R·w bits, far below 2^64,
+    and the Python-int total is at most p^2 < 2^62 for p < 2^31.
     """
     p = a.field.p
     w = -(-p // WORD)
     span = p // WORD + w  # phase words needed: s // 64 + w for every s < p
 
-    def phase_table(s: SubsetSpec) -> np.ndarray:
+    def windows(s: SubsetSpec) -> np.ndarray:
         doubled = np.tile(s.mask.view(np.uint8), 2)
         table = np.empty((WORD, span), dtype=np.uint64)
         for k in range(WORD):
             table[k] = _pack_bits(doubled[k : k + WORD * span], span)
-        return table
+        step = table.itemsize
+        return np.ndarray(
+            (WORD, p // WORD + 1, w), table.dtype, table, strides=(span * step, step, step)
+        )
 
     pa = _pack_bits(a.mask.view(np.uint8), w)
-    pb, pc = phase_table(b), phase_table(c)
-    word_and = np.empty(w, dtype=np.uint64)
-    ones = np.empty(w, dtype=np.uint8)
-    word_sums = np.zeros(w, dtype=np.uint64)
-    for lo in range(0, len(s1), CHUNK_ROWS):
-        chunk = zip(s1[lo : lo + CHUNK_ROWS].tolist(), s2[lo : lo + CHUNK_ROWS].tolist())
-        for u, v in chunk:
-            qu, qv = u // WORD, v // WORD
-            np.bitwise_and(pa, pb[u % WORD, qu : qu + w], out=word_and)
-            np.bitwise_and(word_and, pc[v % WORD, qv : qv + w], out=word_and)
-            np.add(word_sums, np.bitwise_count(word_and, out=ones), out=word_sums)
-    return int(word_sums.sum())
+    wb, wc = windows(b), windows(c)
+    block = max(1, COUNT_BLOCK // w)
+    total = 0
+    for lo in range(0, len(s1), block):
+        qu, ru = np.divmod(s1[lo : lo + block], WORD)
+        qv, rv = np.divmod(s2[lo : lo + block], WORD)
+        words = wb[ru, qu]
+        words &= wc[rv, qv]
+        words &= pa
+        total += int(np.bitwise_count(words).sum(dtype=np.uint64))
+    return total
 
 
 SHIFT_BLOCK = 1 << 16  # window elements gathered at a time by _shift_dots
+# Packed words gathered at a time by _packed_count.  In the large-p
+# benchmark (2-core VM, 3 seeds) the peak RSS was 39.96-40.12 MB at 2^14,
+# as low as a loop over single shifts (40.07-40.22 MB), against 40.52-40.73
+# MB at 2^15 and 40.90-40.92 MB at 2^16; 2^16 took about 10% less kernel time.
+COUNT_BLOCK = 1 << 14
 
 
 def _windows(f: np.ndarray) -> np.ndarray:
@@ -115,7 +129,12 @@ def _shift_dots(f0, f1, s1, f2=None, s2=None) -> np.ndarray:
     shifts go in blocks of R = max(1, SHIFT_BLOCK // p): one fancy index
     gathers the block's R windows of f1 into an (R, p) array, the f2
     windows multiply it in place, and one matrix-vector product against f0
-    gives its R rows.  Memory per call is O(SHIFT_BLOCK + p).  The window
+    gives its R rows.  Memory per call is O(SHIFT_BLOCK + p): one block
+    without f2; with f2 the f2 windows are a second block, and the product
+    is released only when the next gather replaces it.  Releasing it first
+    freed two blocks at the top of the heap, which glibc hands back to the
+    OS, so every block faulted in again: 85,470 minor page faults and
+    about 200 ms per call at p = 5003, against about 260 and 30 ms.  The window
     views are plain np.ndarray views of the doubled buffer: views built with
     sliding_window_view (or as_strided, which it calls) raised the steady
     RSS of a repeated verify run by about 1.2 MB, and these do not.  On 0/1
@@ -134,7 +153,8 @@ def _shift_dots(f0, f1, s1, f2=None, s2=None) -> np.ndarray:
         if w2 is not None:
             gathered *= w2[s2[lo:hi]]
         rows[lo:hi] = gathered @ f0
-        del gathered  # so the next block's gather does not hold two blocks
+        if w2 is None:
+            del gathered  # so the next block's gather does not hold two blocks
     return rows
 
 

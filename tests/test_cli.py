@@ -809,6 +809,60 @@ def test_fiber_file_that_is_a_directory(tmp_path, capsys):
     assert os.listdir(path) == [] and os.listdir(cache) == [os.path.basename(path)]
 
 
+def test_variety_fails_on_an_unwritable_fiber_file_before_enumerating(tmp_path, capsys, monkeypatch):
+    # a directory at the fiber path of the second prime: the sweep must stop
+    # before the first enumeration, not after the whole sweep has run
+    cache = tmp_path / "cache"
+    pair = normalize_pair(*parse_pair("y,y^2"))
+    path = cli.fiber_path(str(cache), pair, 11)
+    os.makedirs(path)
+    calls = []
+
+    def enumerator(pair, field, budget):
+        calls.append(field.p)
+        return enumerate_fibers(pair, field, budget=budget)
+
+    monkeypatch.setitem(cli.ENUMERATORS, "fast", enumerator)
+    args = ["variety", "--pair", "y,y^2", "--primes", "7,11", "--cache-dir", str(cache)]
+    assert main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write fiber file {path!r}: {os.strerror(errno.EISDIR)}\n"
+    assert calls == []
+    assert os.listdir(cache) == [os.path.basename(path)]
+
+
+def test_a_sound_cached_fiber_file_need_not_be_writable(tmp_path, capsys, monkeypatch):
+    # a file that loads is never rewritten, so a failed write probe on it is
+    # no error; a missing file with a failed probe is
+    cache = tmp_path / "cache"
+    args = ["variety", "--pair", "y,y^2", "--primes", "7", "--cache-dir", str(cache)]
+    assert main(args) == EXIT_OK
+    first = capsys.readouterr().out
+
+    def denied(path):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    monkeypatch.setattr(cli, "probe_write", denied)
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out == first
+    assert main([*args[:-3], "7,11", *args[-2:]]) == EXIT_CONFIG
+    assert capsys.readouterr().err.endswith(f": {os.strerror(errno.EACCES)}\n")
+
+
+def test_default_verify_pair_hashes_are_unchanged():
+    # fiber cache file names embed these, so a change orphans every cache
+    hashes = {
+        text: normalize_pair(*parse_pair(text)).pair_hash() for text in cli.DEFAULT_VERIFY_PAIRS
+    }
+    assert hashes == {
+        "y,y^2": "339cbf1577340712",
+        "y^2,y^3": "23377d9d2c296379",
+        "y,y^3": "6a76fd669e4dfdec",
+        "2*y^2,y^2+y": "80ad99acac51fc72",
+    }
+
+
 def test_verify_weil_detail_is_a_plain_float(tmp_path, capsys):
     out = tmp_path / "verify.json"
     args = ["verify", "--only", "weil", "--pair", "y,y^2", "--primes", "7,11"]

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -178,6 +179,42 @@ def test_packed_count_shifts_across_the_seam(p):
         assert _packed_count(a, b, c, s1, s2) == expected
 
 
+@pytest.mark.parametrize("p", WORD_PRIMES)
+@pytest.mark.parametrize("pair", KERNEL_PAIRS, ids=lambda t: f"{t[0]},{t[1]}")
+def test_packed_count_blocks_with_an_uneven_last_block(monkeypatch, p, pair):
+    # R = block shifts per gather; no prime here is a multiple of 5 or 13
+    f = field_new(p)
+    s1_text, s2_text, q1, q2 = pair
+    s1 = value_table(parse_poly(s1_text), f)
+    s2 = value_table(parse_poly(s2_text), f)
+    w = -(-p // 64)
+    for a, b, c in kernel_sets(f):
+        expected = double_loop_count(a, b, c, q1, q2, p)
+        for block in (1, 5, 13):
+            monkeypatch.setattr(counting, "COUNT_BLOCK", block * w + w // 2)
+            assert _packed_count(a, b, c, s1, s2) == expected, block
+
+
+def test_packed_count_memory_is_phase_tables_plus_two_blocks():
+    # two 64-phase tables of p // 64 + ceil(p/64) words each, one block and
+    # its successor (or the C windows and-ed into it), and the block's uint8
+    # popcounts; the per-y loop this kernel replaced peaked at 1,097,254 bytes
+    # here, and gathering every shift at once would take 112 MB
+    p = 30011
+    f = field_new(p)
+    sets = [random_subset(f, 0.5, seed=p + k) for k in range(3)]
+    s1, s2 = value_table(Y, f), value_table(Y2, f)
+    w = -(-p // 64)
+    tables = 2 * 64 * (p // 64 + w) * 8
+    tracemalloc.start()
+    try:
+        _packed_count(*sets, s1, s2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= tables + 2.125 * counting.COUNT_BLOCK * 8 + 8 * p
+
+
 def test_packed_count_agrees_with_lambda3_at_1009():
     f = field_new(1009)
     sets = [random_subset(f, 0.5, seed=90 + k) for k in range(3)]
@@ -269,6 +306,25 @@ def test_shift_dots_two_factor_memory_holds_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * counting.SHIFT_BLOCK * 8 + 64 * p
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="minor page faults as Linux counts them")
+def test_shift_dots_product_blocks_are_not_faulted_in_again():
+    # releasing each (R, p) product block before the next gather freed two
+    # blocks at the top of the heap, which glibc returned to the OS, so every
+    # block was faulted in again: 85,470 minor faults for this call.  Holding
+    # it until the next gather replaces it costs about 260.
+    import resource
+
+    p = 5003
+    f = field_new(p)
+    s1, s2 = value_table(Y, f), value_table(Y2, f)
+    f0, f1, f2 = np.random.default_rng(3).normal(size=(3, p))
+    block_pages = counting.SHIFT_BLOCK * 8 // resource.getpagesize()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _shift_dots(f0, f1, s1, f2, s2)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults <= 8 * block_pages
 
 
 # --- averaged forms ----------------------------------------------------------
