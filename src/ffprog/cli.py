@@ -45,8 +45,6 @@ from .errors import (
     CharTooSmall,
     CorruptFiberFile,
     FFProgError,
-    Inadmissible,
-    NotPrime,
     WorkBudgetExceeded,
 )
 from .field import MAX_P, field_new, is_prime
@@ -67,8 +65,8 @@ from .variety import (
     GrowthRow,
     SCHEMA_VERSION,
     admit,
-    atomic_temp_path,
     growth_report,
+    probe_write,
     write_text_atomic,
 )
 
@@ -77,6 +75,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_CHAR = 3
 EXIT_BUDGET = 4
+# The exit code of each error that main reports; any other one exits EXIT_CONFIG.
+ERROR_EXITS = {
+    CharTooSmall: EXIT_CHAR, BadCharacteristic: EXIT_CHAR, WorkBudgetExceeded: EXIT_BUDGET
+}
 
 DEFAULT_VERIFY_PAIRS = ("y,y^2", "y^2,y^3", "y,y^3", "2*y^2,y^2+y")
 # Longest '--primes a..b' range; each candidate costs a Miller-Rabin test
@@ -261,21 +263,29 @@ def fiber_path(cache_dir: str, pair, p: int) -> str:
     return os.path.join(cache_dir, f"fibers_{pair.pair_hash()}_{p}.json")
 
 
-def get_fibers(pair, p: int, budget: int, cache_dir: str, oracle: str, strict_cache: bool):
-    """Fetch a fiber distribution, preferring the file cache.
-
-    With strict_cache a corrupt cached file propagates CorruptFiberFile (the
-    verify command must surface tampering, not silently heal it); otherwise a
-    bad cache entry is recomputed and overwritten.
-    """
+def cached_fibers(cache_dir: str, pair, p: int, strict_cache: bool):
+    """One read of the cached fiber file of (pair, p): its distribution; with
+    strict_cache, the CorruptFiberFile of a corrupt file (verify must surface
+    tampering, not heal it); or None when the file must be built, because it
+    is missing, or corrupt outside strict_cache."""
     path = fiber_path(cache_dir, pair, p)
-    if os.path.exists(path):
-        try:
-            return FiberDistribution.load(path, pair, p)
-        except CorruptFiberFile:
-            if strict_cache:
-                raise
+    if not os.path.exists(path):
+        return None
+    try:
+        return FiberDistribution.load(path, pair, p)
+    except CorruptFiberFile as exc:
+        return exc if strict_cache else None
+
+
+def get_fibers(pair, p: int, budget: int, cache_dir: str, oracle: str, cached):
+    """The fibers of one (pair, p), the last step of warm_fibers' one pass
+    (characteristic gate, one read per cached file, budget gate, write probe,
+    build): the pre-pass result cached when there is one, else a fresh
+    enumeration, saved to the cache."""
+    if cached is not None:
+        return cached
     dist = ENUMERATORS[oracle](pair, field_new(p), budget=budget)
+    path = fiber_path(cache_dir, pair, p)
     try:
         dist.save(path)
     except OSError as exc:
@@ -286,54 +296,37 @@ def get_fibers(pair, p: int, budget: int, cache_dir: str, oracle: str, strict_ca
 def warm_fibers(
     pairs, primes, budget, cache_dir, workers=1, oracle="fast", strict_cache=False
 ):
-    """get_fibers for every (pair, p), keyed by (pair.key(), p).  With
-    strict_cache a corrupt cached file yields its CorruptFiberFile as the value.
-    The whole sweep is admitted before the first enumeration; a cached (pair, p)
-    is not charged against the budget, and every fiber file the sweep may
-    write is probed first."""
+    """get_fibers for every (pair, p), keyed by (pair.key(), p).  Every job is
+    decided before any enumeration, in this order: the characteristic gate on
+    all of them; one read of each cached file (cached_fibers, so with
+    strict_cache a corrupt file yields its CorruptFiberFile as the value);
+    then, for the jobs that must be built only, the budget gate and a write
+    probe of their fiber files; then the builds."""
     jobs = [(pair, p) for pair in pairs for p in primes]
     fields = {p: field_new(p) for p in primes}
     for pair, p in jobs:
         pair.require_char(fields[p])
-    for pair, p in jobs:
-        if not os.path.exists(fiber_path(cache_dir, pair, p)):
-            admit(pair, fields[p], budget, oracle)
+    cached = [cached_fibers(cache_dir, pair, p, strict_cache) for pair, p in jobs]
+    build = [job for job, hit in zip(jobs, cached) if hit is None]
+    for pair, p in build:
+        admit(pair, fields[p], budget, oracle)
     os.makedirs(cache_dir or os.curdir, exist_ok=True)  # '' is the working directory
-    for pair, p in jobs:
-        check_fiber_writable(fiber_path(cache_dir, pair, p), pair, p, strict_cache)
-
-    def fetch(job):
+    for pair, p in build:
+        path = fiber_path(cache_dir, pair, p)
         try:
-            return get_fibers(*job, budget, cache_dir, oracle, strict_cache)
-        except CorruptFiberFile as exc:
-            return exc
+            probe_write(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write fiber file {path!r}: {exc.strerror}") from exc
+
+    def fetch(job, hit):
+        return get_fibers(*job, budget, cache_dir, oracle, hit)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fetch, jobs))
+            results = list(pool.map(fetch, jobs, cached))
     else:
-        results = [fetch(job) for job in jobs]
+        results = list(map(fetch, jobs, cached))
     return {(pair.key(), p): dist for (pair, p), dist in zip(jobs, results)}
-
-
-def check_fiber_writable(path: str, pair, p: int, strict_cache: bool) -> None:
-    """Fail before any enumeration on a fiber file that get_fibers would have
-    to write but could not: a missing one, or without strict_cache a corrupt
-    one.  A cached file is loaded only when the probe fails, to tell a sound
-    file, which is never rewritten, from a corrupt one."""
-    cached = os.path.exists(path)
-    if cached and strict_cache:
-        return
-    try:
-        probe_write(path)
-    except OSError as exc:
-        if cached:
-            try:
-                FiberDistribution.load(path, pair, p)
-                return
-            except CorruptFiberFile:
-                pass
-        raise ConfigError(f"cannot write fiber file {path!r}: {exc.strerror}") from exc
 
 
 # --- report emission -------------------------------------------------------------
@@ -370,18 +363,6 @@ def check_out(out: str | None, cache_dir: str | None) -> None:
         probe_write(out)
     except OSError as exc:
         raise ConfigError(f"cannot write --out {out!r}: {exc.strerror}") from exc
-
-
-def probe_write(path: str) -> None:
-    """OSError unless write_text_atomic could write path: its temp file is
-    created and removed, so the file system gives the answer, and path is
-    no directory, which the rename cannot replace (a link it can)."""
-    tmp = atomic_temp_path(path)
-    with open(tmp, "w", encoding="utf-8"):
-        pass
-    os.unlink(tmp)
-    if os.path.isdir(path) and not os.path.islink(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _write_report(text: str, out: str | None) -> None:
@@ -703,18 +684,11 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](args)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    except (ConfigError, Inadmissible, BadDensity, NotPrime, ValueError) as exc:
+    except (ConfigError, ValueError, FFProgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (CharTooSmall, BadCharacteristic) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHAR
-    except WorkBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except FFProgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next(
+            (code for cls, code in ERROR_EXITS.items() if isinstance(exc, cls)), EXIT_CONFIG
+        )
 
 
 def entry() -> None:

@@ -55,6 +55,7 @@ oracle, which its budget gate charges p^8 steps).
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import itertools
 import json
@@ -111,7 +112,7 @@ def _preimage_lists(values: np.ndarray, p: int) -> list:
     return [roots[o : o + n] for o, n in zip(offsets.tolist(), counts.tolist())]
 
 
-def atomic_temp_path(path) -> str:
+def _atomic_temp_path(path) -> str:
     """The same-directory temp name write_text_atomic writes before its rename."""
     return f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
 
@@ -122,7 +123,7 @@ def write_text_atomic(path, text: str) -> None:
     Readers see either the old file or the complete new one, even if the
     writer dies midway or another worker writes the same path.
     """
-    tmp = atomic_temp_path(path)
+    tmp = _atomic_temp_path(path)
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -131,6 +132,18 @@ def write_text_atomic(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def probe_write(path) -> None:
+    """OSError unless write_text_atomic could write path: its temp file is
+    created and removed, so the file system gives the answer, and path is
+    no directory, which the rename cannot replace (a link it can)."""
+    tmp = _atomic_temp_path(path)
+    with open(tmp, "w", encoding="utf-8"):
+        pass
+    os.unlink(tmp)
+    if os.path.isdir(path) and not os.path.islink(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 @dataclass

@@ -850,6 +850,55 @@ def test_a_sound_cached_fiber_file_need_not_be_writable(tmp_path, capsys, monkey
     assert capsys.readouterr().err.endswith(f": {os.strerror(errno.EACCES)}\n")
 
 
+def test_corrupt_cached_file_over_budget_exits_before_any_enumeration(tmp_path, capsys, monkeypatch):
+    # a corrupt file outside verify must be built, so it is charged before
+    # the first enumeration, like a missing one: p = 7 (4802 steps) fits the
+    # budget, the corrupt p = 11 (29282 steps) does not
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    pair = normalize_pair(*parse_pair("y,y^2"))
+    enumerate_fibers(pair, field_new(11)).save(cli.fiber_path(str(cache), pair, 11))
+    truncate_cached_fibers(cache)
+    calls = []
+
+    def enumerator(pair, field, budget):
+        calls.append(field.p)
+        return enumerate_fibers(pair, field, budget=budget)
+
+    monkeypatch.setitem(cli.ENUMERATORS, "fast", enumerator)
+    args = ["variety", "--pair", "y,y^2", "--primes", "7,11", "--budget", "10000"]
+    assert main([*args, "--cache-dir", str(cache)]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: estimated 29282 steps for p = 11 exceeds budget 10000\n"
+    assert calls == []
+    assert not os.path.exists(cli.fiber_path(str(cache), pair, 7))
+
+
+def test_each_cached_fiber_file_is_read_once_per_run(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    args = ["variety", "--pair", "y,y^2", "--primes", "7,11", "--cache-dir", str(cache)]
+    assert main(args) == EXIT_OK
+    capsys.readouterr()
+    assert main(args) == EXIT_OK
+    warm = capsys.readouterr().out
+    loads = []
+    load = FiberDistribution.load.__func__
+
+    def counted(cls, path, pair, p):
+        loads.append(p)
+        return load(cls, path, pair, p)
+
+    def denied(path):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    monkeypatch.setattr(FiberDistribution, "load", classmethod(counted))
+    monkeypatch.setattr(cli, "probe_write", denied)
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out == warm
+    assert sorted(loads) == [7, 11]
+
+
 def test_default_verify_pair_hashes_are_unchanged():
     # fiber cache file names embed these, so a change orphans every cache
     hashes = {
