@@ -83,10 +83,12 @@ def _packed_count(a: SubsetSpec, b: SubsetSpec, c: SubsetSpec, s1, s2) -> int:
     span = p // WORD + w  # phase words needed: s // 64 + w for every s < p
 
     def windows(s: SubsetSpec) -> np.ndarray:
-        doubled = np.tile(s.mask.view(np.uint8), 2)
-        table = np.empty((WORD, span), dtype=np.uint64)
-        for k in range(WORD):
-            table[k] = _pack_bits(doubled[k : k + WORD * span], span)
+        # Row k of the phase table packs bits k, ..., k + 64·span - 1 of the
+        # doubled set, zero past 2p: one packbits over overlapping rows.
+        bits = np.zeros(WORD * span + WORD - 1, dtype=np.uint8)
+        bits[:p] = bits[p : 2 * p] = s.mask.view(np.uint8)
+        rows = np.ndarray((WORD, WORD * span), bits.dtype, bits, strides=(1, 1))
+        table = np.packbits(rows, axis=1, bitorder="little").view("<u8")
         step = table.itemsize
         return np.ndarray(
             (WORD, p // WORD + 1, w), table.dtype, table, strides=(span * step, step, step)

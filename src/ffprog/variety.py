@@ -22,9 +22,17 @@ per (t2, t3),
     c[a] = sum over rows r of sum_g K[r, g] * K[r, (g + a) mod p]
          = sum_g Gram[g, (g + a) mod p],   Gram = K^T K.
 
+Swapping (u1, u2) with (u3, u4) maps S onto itself and sends (T2, T3, G)
+to (-T2, G, T3), so K[t2, t3, g] = K[-t2, g, t3]: read as p x p matrices
+with rows t3 and columns g, slab -t2 of K is the transpose of slab t2.
+Only the slabs t2 = 0, ..., (p - 1)/2 are built.  Each slab K_t with t != 0
+adds K_t^T K_t + K_t K_t^T to the Gram, and the squares of its column sums
+as well as of its row sums to |V|; slab 0 is its own mirror and counts once.
+
 K is never held whole.  The pairs (u1, u3) are grouped by their T2 value
-into slabs.  Given a base row (u1, u2, u3), u4 runs over the roots of P1 at
-P1(u2) + P1(u3) - P1(u1), that is at x mod p for the column
+into slabs; slab -t2 has as many pairs as slab t2, so the built half is a
+prefix of the slab order.  Given a base row (u1, u2, u3), u4 runs over the
+roots of P1 at P1(u2) + P1(u3) - P1(u1), that is at x mod p for the column
 x = (P1(u3) - P1(u1) mod p) + P1(u2) in [0, 2p).  So before the batch loop,
 each root slot j < max_v #P1^-1(v) gets one p x 2p table: row u3, column x
 holds G = P2(u4) - P2(u3) mod p for the j-th root u4 of P1 at x mod p, or p,
@@ -32,19 +40,31 @@ the trash column, where x mod p has at most j roots.  A slot's keys are then
 one gather, with no mask, no reduction mod p and no concatenation.  A batch
 of whole slabs (about BATCH_ROWS = 2^16 keys: one per slot and base row,
 plus the p(p + 1) cells of K per slab) histograms its keys with one bincount
-into rows p + 1 wide, drops the trash column with a view, and adds that
-block's Gram product to the running p x p total.  The budget is sized so
-that a batch's working set stays in a per-core L2 cache while a slab fits
-in it, and the cell, row-key and key buffers are allocated once, at the
-largest batch, and refilled in place.  Memory is therefore O(slots * p^2 + BATCH_ROWS) and the
-work O(deg(P1) * p^3 + p^4) with the p^4 term in BLAS.
+into rows p + 1 wide and drops the trash column with a view.  Its rows,
+stacked on the transposed rows of its mirrored slabs, give one Gram block,
+added to the running p x p total.  The budget is sized so that a batch's
+working set stays in a per-core L2 cache while a slab fits in it, and the
+cell, row-key, key and stacked-row buffers are allocated once, at the
+largest batch, and refilled in place.  Memory is therefore
+O(slots * p^2 + BATCH_ROWS): the stacked rows are 2 p^2 float32 values per
+slab, the bytes one float64 copy of the slab took.  The work is
+O(deg(P1) * p^3 + p^4) with the p^4 term in BLAS, and the key building and
+bincount cover half of K.
 
-The Gram product runs in float64 yet is exact.  Every entry of K is a
-nonnegative integer, so every partial sum BLAS forms, in whatever order, is
-at most its final Gram entry, which is at most sum_r rowsum_r^2 = |V|.  The
-enumeration tracks that sum in Python ints and stops with
-WorkBudgetExceeded before it reaches EXACT_LIMIT = 2**53, below which
-float64 represents every integer; the finished c must then sum to it.
+The Gram blocks are exact.  Every entry of K is a nonnegative integer, so
+every partial sum BLAS forms, in whatever order, is at most its final Gram
+entry.  By Cauchy-Schwarz every entry of a block is at most its largest
+diagonal entry, and under monotone rounding a computed diagonal entry is
+below 2^24 exactly when the true one is: partial sums are exact while they
+stay below 2^24, and since 2^24 is a float32, a rounded sum of nonnegative
+terms that reaches it never falls back below it.  So a block runs in
+float32, which represents every integer up to 2^24, and is kept when its
+computed diagonal stays below F32_LIMIT = 2^24; otherwise that batch is
+redone in float64.  Every partial sum of the float64 total, or of a float64
+block, is at most an entry of the whole Gram, and so at most
+sum_r rowsum_r^2 = |V|.  The enumeration tracks that sum in Python ints and
+stops with WorkBudgetExceeded before it reaches EXACT_LIMIT = 2**53, below
+which float64 represents every integer; the finished c must then sum to it.
 
 Two slower paths back this up: a four-variable walk that resolves the
 dependent slots y4, y6, y7, y8 through the per-value root lists of
@@ -88,7 +108,12 @@ BATCH_ROWS = 1 << 16
 # float64 holds every integer below 2**53 exactly; see the module docstring.
 EXACT_LIMIT = 1 << 53
 
-# Batches with fewer keys than this sum their squared K row sums in int64.
+# float32 holds every integer up to 2**24 exactly; a Gram block whose
+# computed diagonal reaches this is redone in float64 (module docstring).
+F32_LIMIT = 1 << 24
+
+# Batches with fewer keys than this sum their squared K row and column sums
+# in int64.
 SQUARE_SUM_KEYS = 1 << 31
 
 
@@ -280,8 +305,16 @@ def enumerate_fibers(
 
 def _k_gram(pair: NormalizedPair, field: PrimeField) -> tuple[np.ndarray, int]:
     """Gram = K^T K as exact float64 integers, and |V| = sum of K's squared
-    row sums, streaming K by batches of T2 slabs.  Its tables and batch
-    buffers are freed on return, before the caller's p x p index arithmetic."""
+    row sums, streaming the T2 slabs 0, ..., (p - 1)/2 of K by batches.
+
+    Slab -t2 is the transpose of slab t2 (module docstring), so slab t2 != 0
+    stands for both: its Gram block gains K_t K_t^T and |V| its squared
+    column sums.  A batch's blocks are one float32 product, redone in float64
+    only if its diagonal reaches F32_LIMIT (_gram_block).  The stacked K rows
+    and their transposes take 2 p^2 float32 values per slab of the largest
+    batch, in one buffer allocated next to the key buffers.  Its tables and
+    batch buffers are freed on return, before the caller's p x p index
+    arithmetic."""
     p = field.p
     t1 = value_table(pair.p1, field)
     t2 = value_table(pair.p2, field)
@@ -299,10 +332,12 @@ def _k_gram(pair: NormalizedPair, field: PrimeField) -> tuple[np.ndarray, int]:
     g_table = np.where(has[:, None, :], (root_p2[:, None, :] - t2[:, None]) % p, p)
     g_table = g_table.reshape(slots, -1)
 
-    # CSR list of the pairs (u1, u3), flat index u1*p + u3, by T2 slab.
+    # CSR list of the pairs (u1, u3), flat index u1*p + u3, by T2 slab.  The
+    # slabs 0..(p - 1)/2 that are built come first.
     slab_pairs, slab_start, slab_order = _csr_preimages(
         ((t2p[None, :] - t2p[:, None]) % p).ravel(), p
     )
+    half = p // 2 + 1
 
     # K rows are p + 1 wide: the p values of G, then the trash column.
     # T3 * (p + 1) for every (u1, u2): the middle digit of the K key.
@@ -310,12 +345,14 @@ def _k_gram(pair: NormalizedPair, field: PrimeField) -> tuple[np.ndarray, int]:
     t3_key = ((t2[None, :] - t2[:, None]) % p) * width
 
     # Batches, then one buffer each for the cells, row keys and slot keys of
-    # the largest batch; every batch fills a contiguous prefix of them.
-    batches = list(_slab_batches(slots * slab_pairs * p + p * width))
+    # the largest batch, and for its stacked K rows and their transposes;
+    # every batch fills a contiguous prefix of them.
+    batches = list(_slab_batches(slots * slab_pairs[:half] * p + p * width))
     most = max(int(slab_pairs[lo:hi].sum()) for lo, hi in batches) * p
     cell_buf = np.empty(most, dtype=np.int64)
     row_key_buf = np.empty(most, dtype=np.int64)
     keys_buf = np.empty(slots * most, dtype=np.int64)
+    rows_buf = np.empty((2 * p * max(hi - lo for lo, hi in batches), p), dtype=np.float32)
 
     gram = np.zeros((p, p))
     v_size = 0
@@ -337,23 +374,43 @@ def _k_gram(pair: NormalizedPair, field: PrimeField) -> tuple[np.ndarray, int]:
             np.take(g_table[j], cell, out=keys[j], mode="clip")
             keys[j] += row_key
         kb = np.bincount(keys.ravel(), minlength=(hi - lo) * p * width)
-        kb = kb.reshape(-1, width)[:, :p]
+        kb = kb.reshape(hi - lo, p, width)[:, :, :p]
+        mirrored = kb[1:] if lo == 0 else kb  # slab 0 is its own mirror
 
-        # Row sums r of K: sum r^2 <= (sum r)^2 <= keys.size^2, which is
-        # below 2**62, so exact in int64, while keys.size < SQUARE_SUM_KEYS.
-        rs = kb.sum(axis=1)
+        # Row sums r of K, and column sums of the mirrored slabs: each sum
+        # of squares is at most keys.size^2, which is below 2**62, so exact
+        # in int64, while keys.size < SQUARE_SUM_KEYS.
+        rs, cs = kb.sum(axis=2), mirrored.sum(axis=1)
         if keys.size < SQUARE_SUM_KEYS:
-            v_size += int(rs @ rs)
+            v_size += int(np.vdot(rs, rs)) + int(np.vdot(cs, cs))
         else:
-            v_size += sum(r * r for r in rs.tolist())
+            v_size += sum(r * r for r in rs.ravel().tolist() + cs.ravel().tolist())
         if v_size >= EXACT_LIMIT:
             raise WorkBudgetExceeded(
                 f"p = {p}: |V| reaches {EXACT_LIMIT}, the exactness limit of "
                 "the float64 Gram product"
             )
-        kf = kb.astype(np.float64)
-        gram += kf.T @ kf
+        gram += _gram_block(kb, mirrored, rows_buf)
     return gram, v_size
+
+
+def _gram_block(slabs: np.ndarray, mirrored: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Exact sum of S^T S over the nonnegative integer (p x p) matrices S of
+    slabs and of S S^T over those of mirrored, as one Gram product of their
+    rows stacked on their transposed rows in a prefix of the buffer rows.
+
+    The product runs in rows.dtype (float32 in _k_gram) and is kept when the
+    largest diagonal entry is below F32_LIMIT, which proves it exact (module
+    docstring); otherwise it is redone in a float64 buffer."""
+    p = slabs.shape[-1]
+    n = len(slabs) * p
+    rows = rows[: n + len(mirrored) * p]
+    rows[:n].reshape(slabs.shape)[...] = slabs
+    rows[n:].reshape(mirrored.shape)[...] = mirrored.transpose(0, 2, 1)
+    block = rows.T @ rows
+    if rows.dtype != np.float64 and block.diagonal().max() >= F32_LIMIT:
+        return _gram_block(slabs, mirrored, np.empty(rows.shape))
+    return block
 
 
 def enumerate_fibers_reference(

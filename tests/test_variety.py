@@ -106,6 +106,30 @@ def test_fast_matches_reference_p7_p11(standard_pairs, fibers_cache):
             assert fast.w_size == loop.w_size
 
 
+def with_y3_y4(standard_pairs, p):
+    """The standard pairs admissible at p, and y^3,y^4 (3-to-1 P1 where
+    3 divides p - 1) from p = 5 on."""
+    pairs = admissible_at(standard_pairs, p)
+    if p >= 5:
+        pairs["y^3,y^4"] = normalize_pair(*parse_pair("y^3,y^4"))
+    return pairs
+
+
+def recorded_batches(monkeypatch):
+    """Patch variety._slab_batches to append each (lo, hi) it yields to the
+    returned list."""
+    batches = []
+    slab_batches = variety._slab_batches
+
+    def recorded(cost):
+        for lo_hi in slab_batches(cost):
+            batches.append(lo_hi)
+            yield lo_hi
+
+    monkeypatch.setattr(variety, "_slab_batches", recorded)
+    return batches
+
+
 def slab_sizes(pair, p):
     t2p = value_table(pair.p2prime, field_new(p))
     return np.bincount(((t2p[None, :] - t2p[:, None]) % p).ravel(), minlength=p)
@@ -137,15 +161,7 @@ def test_root_slots_match_reference_across_batches(p, slots, monkeypatch):
     pair = normalize_pair(*parse_pair("y^3,y^4"))
     f = field_new(p)
     assert np.bincount(value_table(pair.p1, f)).max() == slots
-    batches = []
-
-    def recorded(cost):
-        for lo_hi in slab_batches(cost):
-            batches.append(lo_hi)
-            yield lo_hi
-
-    slab_batches = variety._slab_batches
-    monkeypatch.setattr(variety, "_slab_batches", recorded)
+    batches = recorded_batches(monkeypatch)
     monkeypatch.setattr(variety, "BATCH_ROWS", 4 * p * p)
     fast = enumerate_fibers(pair, f)
     assert 1 < len(batches) < p
@@ -160,6 +176,81 @@ def test_one_slab_per_batch_matches_default(standard_pairs, monkeypatch):
     assert len(list(variety._slab_batches(slab_sizes(standard_pairs["y,y^2"], p)))) == p
     for k, pair in standard_pairs.items():
         assert enumerate_fibers(pair, f).c.tolist() == want[k], k
+
+
+@pytest.mark.parametrize("batch_rows, shared", [(1, False), (1 << 30, True)])
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_half_slabs_match_reference(standard_pairs, p, batch_rows, shared, monkeypatch):
+    # only the T2 slabs 0..(p - 1)/2 are built, the rest by mirror; slab 0 is
+    # its own mirror and must count once, whether it is a batch alone or
+    # shares one with mirrored slabs
+    batches = recorded_batches(monkeypatch)
+    monkeypatch.setattr(variety, "BATCH_ROWS", batch_rows)
+    f = field_new(p)
+    for spec, pair in with_y3_y4(standard_pairs, p).items():
+        batches.clear()
+        fast = enumerate_fibers(pair, f)
+        assert batches[0][0] == 0 and batches[-1][1] == (p + 1) // 2, spec
+        assert (batches[0][1] > 1) == shared, spec
+        loop = enumerate_fibers_reference(pair, f)
+        assert fast.c.tolist() == loop.c.tolist(), spec
+        assert fast.v_size == loop.v_size, spec
+
+
+def test_float64_gram_blocks_give_the_same_histogram(standard_pairs, monkeypatch):
+    dtypes = []
+    gram_block = variety._gram_block
+
+    def recorded(*args):
+        block = gram_block(*args)
+        dtypes.append(block.dtype)
+        return block
+
+    monkeypatch.setattr(variety, "_gram_block", recorded)
+    cases = [(pair, p) for p in (3, 13, 31) for pair in with_y3_y4(standard_pairs, p).values()]
+    want = [enumerate_fibers(pair, field_new(p)).c.tolist() for pair, p in cases]
+    assert set(dtypes) == {np.dtype(np.float32)}
+    monkeypatch.setattr(variety, "F32_LIMIT", 0)
+    dtypes.clear()
+    got = [enumerate_fibers(pair, field_new(p)).c.tolist() for pair, p in cases]
+    assert set(dtypes) == {np.dtype(np.float64)}
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "column, dtype",
+    [
+        ([4095, 90, 9, 3], np.float32),  # squares sum to 2**24 - 1
+        ([4096], np.float64),  # 2**24
+        ([4096, 1], np.float64),  # 2**24 + 1, which float32 rounds to 2**24
+    ],
+)
+def test_gram_block_float32_guard(column, dtype):
+    # two equal columns put the off-diagonal entry at the limit too
+    p = 5
+    slab = np.zeros((p, p), dtype=np.int64)
+    slab[: len(column), 0] = slab[: len(column), 1] = column
+    slabs = slab[None]
+    rows = np.empty((p, p), dtype=np.float32)
+    block = variety._gram_block(slabs, slabs[:0], rows)
+    assert block.dtype == dtype
+    assert (block == slab.T @ slab).all()
+    assert block[0, 0] == sum(v * v for v in column)
+    if dtype == np.float64:
+        assert block[0, 0] >= 2**24
+        single = slab.astype(np.float32)
+        assert (single.T @ single)[0, 0] == 2**24
+
+
+def test_gram_block_adds_the_mirrored_transposes():
+    rng = np.random.default_rng(0)
+    p = 7
+    slabs = rng.integers(0, 50, size=(3, p, p))
+    rows = np.empty((5 * p, p), dtype=np.float32)
+    block = variety._gram_block(slabs, slabs[1:], rows)
+    want = sum(k.T @ k for k in slabs) + sum(k @ k.T for k in slabs[1:])
+    assert block.dtype == np.float32
+    assert (block == want).all()
 
 
 def test_pinned_sizes_y_y2_p101(standard_pairs):
@@ -228,6 +319,39 @@ def test_block_swap_preserves_points(standard_pairs):
             vq = brute_points(pair, p)
             for y, a in vq.items():
                 assert vq[block_swap(y)] == (-a) % p
+
+
+def walked_k(pair, p):
+    """K[t2, t3, g] = #{u in S : (T2, T3, G)(u) = (t2, t3, g)}, counted by
+    testing every u in F_p^4 against S = {P1(u2) - P1(u1) = P1(u4) - P1(u3)}."""
+    f = field_new(p)
+    t1, t2, t2p = (value_table(q, f) for q in (pair.p1, pair.p2, pair.p2prime))
+    u1, u2, u3, u4 = np.indices((p,) * 4).reshape(4, -1)
+    on_s = (t1[u2] - t1[u1] - t1[u4] + t1[u3]) % p == 0
+    u1, u2, u3, u4 = (u[on_s] for u in (u1, u2, u3, u4))
+    k = np.zeros((p, p, p), dtype=np.int64)
+    np.add.at(k, ((t2p[u3] - t2p[u1]) % p, (t2[u2] - t2[u1]) % p, (t2[u4] - t2[u3]) % p), 1)
+    return k
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_k_mirror_identity(standard_pairs, p):
+    # swapping (u1, u2) with (u3, u4) fixes S and sends (T2, T3, G) to
+    # (-T2, G, T3): K[t2, t3, g] = K[-t2, g, t3].  y^2 is 2-to-1 on the
+    # squares; y^3 is 3-to-1 on the cubes at p = 7 and 13, injective at 5.
+    f = field_new(p)
+    pairs = with_y3_y4(standard_pairs, p)
+    most = {np.bincount(value_table(pair.p1, f)).max() for pair in pairs.values()}
+    assert most == ({1, 2} if p == 5 else {1, 2, 3})
+    idx = np.arange(p)
+    for spec, pair in pairs.items():
+        k = walked_k(pair, p)
+        assert (k == k[-idx % p].transpose(0, 2, 1)).all(), spec
+        # and this K is the production one: c[a] = sum_g Gram[g, g + a]
+        kf = k.reshape(p * p, p)
+        gram = kf.T @ kf
+        c = np.take_along_axis(gram, (idx[:, None] + idx[None, :]) % p, axis=1).sum(axis=0)
+        assert c.tolist() == enumerate_fibers(pair, f).c.tolist(), spec
 
 
 def test_pair_swap_lands_inside_iff_label_zero(standard_pairs):
