@@ -51,69 +51,80 @@ def _check_same_field(field: PrimeField, *fs: GridFunction) -> None:
 
 
 WORD = 64
+# Packed words gathered at a time by _and_blocks.  In the large-p benchmark
+# (2-core VM, 3 seeds) the peak RSS was 39.96-40.12 MB at 2^14, as low as a
+# loop over single shifts (40.07-40.22 MB), against 40.52-40.73 MB at 2^15
+# and 40.90-40.92 MB at 2^16; 2^16 took about 10% less kernel time.
+COUNT_BLOCK = 1 << 14
 
 
-def _pack_bits(bits: np.ndarray, words: int) -> np.ndarray:
-    """0/1 uint8 array as `words` little-endian uint64 words (bit i of word
-    k is bits[64k + i]); bits past len(bits) are zero."""
-    padded = np.zeros(WORD * words, dtype=np.uint8)
-    padded[: len(bits)] = bits
-    return np.packbits(padded, bitorder="little").view("<u8")
+def _phase_windows(mask: np.ndarray) -> np.ndarray:
+    """(64, p // 64 + 1, w) view whose [s % 64, s // 64] entry is rot(X, s),
+    bits X[s], ..., X[s + 64w - 1] (indices mod p) as w = ceil(p/64)
+    little-endian uint64 words; the bits past p are the doubled set's next
+    ones, or zero past 2p.
 
-
-def _packed_count(a: SubsetSpec, b: SubsetSpec, c: SubsetSpec, s1, s2) -> int:
-    """sum_r #{x : x in A, x + s1[r] in B, x + s2[r] in C}, indices mod p.
-
-    Row r is the popcount of A & rot(B, s1[r]) & rot(C, s2[r]) over
-    w = ceil(p/64) words.  Row k of a phase table holds the doubled set
-    from bit k on, so rot(X, s) is phase[s % 64, s // 64 :][:w]; bits past
-    p in that window are masked by A's zero tail.  The windows of a table
-    are one overlapping (64, p // 64 + 1, w) view of it, and the shifts go
-    in blocks of R = max(1, COUNT_BLOCK // w): one two-axis fancy index
-    gathers the block's B windows into an (R, w) array, its C windows and
-    A are and-ed into that in place, and one popcount and one uint64 sum
-    give the block's count.  Memory per call is the two phase tables,
-    about 16p bytes each, plus two blocks of 8·R·w bytes: a block and the
-    C windows and-ed into it, or the next block gathered while the last is
-    still bound.  Exact: a block sums at most 64·R·w bits, far below 2^64,
-    and the Python-int total is at most p^2 < 2^62 for p < 2^31.
+    Row k of the underlying phase table packs bits k, ..., k + 64·span - 1
+    of the doubled set, one packbits over overlapping rows, and the windows
+    of a row overlap, so the table is all that is stored: about 16p bytes.
     """
-    p = a.field.p
+    p = len(mask)
     w = -(-p // WORD)
     span = p // WORD + w  # phase words needed: s // 64 + w for every s < p
+    bits = np.zeros(WORD * span + WORD - 1, dtype=np.uint8)
+    bits[:p] = bits[p : 2 * p] = mask.view(np.uint8)
+    rows = np.ndarray((WORD, WORD * span), bits.dtype, bits, strides=(1, 1))
+    table = np.packbits(rows, axis=1, bitorder="little").view("<u8")
+    step = table.itemsize
+    return np.ndarray(
+        (WORD, p // WORD + 1, w), table.dtype, table, strides=(span * step, step, step)
+    )
 
-    def windows(s: SubsetSpec) -> np.ndarray:
-        # Row k of the phase table packs bits k, ..., k + 64·span - 1 of the
-        # doubled set, zero past 2p: one packbits over overlapping rows.
-        bits = np.zeros(WORD * span + WORD - 1, dtype=np.uint8)
-        bits[:p] = bits[p : 2 * p] = s.mask.view(np.uint8)
-        rows = np.ndarray((WORD, WORD * span), bits.dtype, bits, strides=(1, 1))
-        table = np.packbits(rows, axis=1, bitorder="little").view("<u8")
-        step = table.itemsize
-        return np.ndarray(
-            (WORD, p // WORD + 1, w), table.dtype, table, strides=(span * step, step, step)
-        )
 
-    pa = _pack_bits(a.mask.view(np.uint8), w)
-    wb, wc = windows(b), windows(c)
-    block = max(1, COUNT_BLOCK // w)
-    total = 0
+def _and_blocks(b: SubsetSpec, c: SubsetSpec, s1, s2):
+    """Yield rot(B, s1[r]) & rot(C, s2[r]) for every r, in (R, w) uint64
+    blocks of consecutive r, R = max(1, COUNT_BLOCK // w); shifts lie in
+    [0, p), and the bits past p of each row are not masked.
+
+    One two-axis fancy index gathers a block's B windows and its C windows
+    are and-ed into that in place.  Memory is the two phase tables plus two
+    blocks, a block and the C windows and-ed into it, or the next block
+    gathered while the last is still bound: so a caller must drop its
+    reference to a block before asking for the next one.
+    """
+    wb, wc = _phase_windows(b.mask), _phase_windows(c.mask)
+    block = max(1, COUNT_BLOCK // wb.shape[2])
     for lo in range(0, len(s1), block):
         qu, ru = np.divmod(s1[lo : lo + block], WORD)
         qv, rv = np.divmod(s2[lo : lo + block], WORD)
         words = wb[ru, qu]
         words &= wc[rv, qv]
+        yield words
+
+
+def _packed_count(a: SubsetSpec, b: SubsetSpec, c: SubsetSpec, s1, s2) -> int:
+    """sum_r #{x : x in A, x + s1[r] in B, x + s2[r] in C}, indices mod p.
+
+    Each block of _and_blocks is and-ed with A, packed straight from its
+    mask into w = ceil(p/64) words whose zero tail masks the bits past p,
+    and one popcount and one uint64 sum give the block's count.  Memory per
+    call is the two phase tables, about 16p bytes each, plus two blocks of
+    8·R·w bytes and a block's uint8 popcounts.  Exact: a block sums at most
+    64·R·w bits, far below 2^64, and the Python-int total is at most
+    p^2 < 2^62 for p < 2^31.
+    """
+    p = a.field.p
+    pa = np.zeros(-(-p // WORD), dtype="<u8")
+    pa.view(np.uint8)[: -(-p // 8)] = np.packbits(a.mask, bitorder="little")
+    total = 0
+    for words in _and_blocks(b, c, s1, s2):
         words &= pa
         total += int(np.bitwise_count(words).sum(dtype=np.uint64))
+        del words  # so the next block's gather does not hold three blocks
     return total
 
 
 SHIFT_BLOCK = 1 << 16  # window elements gathered at a time by _shift_dots
-# Packed words gathered at a time by _packed_count.  In the large-p
-# benchmark (2-core VM, 3 seeds) the peak RSS was 39.96-40.12 MB at 2^14,
-# as low as a loop over single shifts (40.07-40.22 MB), against 40.52-40.73
-# MB at 2^15 and 40.90-40.92 MB at 2^16; 2^16 took about 10% less kernel time.
-COUNT_BLOCK = 1 << 14
 
 
 def _windows(f: np.ndarray) -> np.ndarray:
@@ -316,19 +327,23 @@ def main_theorem_ratio(
 def expander_image(
     a: SubsetSpec, b: SubsetSpec, poly: IntPoly, field: PrimeField
 ) -> int:
-    """Size of the image {u + P(v - u) : u in A, v in B}, deg P >= 2."""
+    """Size of the image {u + P(v - u) : u in A, v in B}, deg P >= 2.
+
+    With d = v - u, z is in the image iff A[z - P(d)] and B[z - P(d) + d]
+    for some d, so the image is the OR over d of rot(A, -P(d)) &
+    rot(B, d - P(d)): the blocks of _and_blocks, or-ed into w = ceil(p/64)
+    words whose first p bits are counted.  Memory is that of _and_blocks
+    plus the two length-p int64 shift arrays and the w-word image.
+    """
     d = poly.degree
     if d == float("-inf") or d < 2:
         raise DegreeTooSmall(f"expander needs deg >= 2, got {d}")
     if a.field.p != field.p or b.field.p != field.p:
         raise ValueError("subsets live on a different field")
-    if not a.size or not b.size:
-        return 0
     p = field.p
     table = value_table(poly, field)
-    ua, vb = np.flatnonzero(a.mask), np.flatnonzero(b.mask)
-    seen = np.zeros(p, dtype=bool)
-    for u in ua:
-        vals = (u + table[(vb - u) % p]) % p
-        seen[vals] = True
-    return int(seen.sum())
+    image = np.zeros(-(-p // WORD), dtype="<u8")
+    for words in _and_blocks(a, b, -table % p, (np.arange(p) - table) % p):
+        image |= np.bitwise_or.reduce(words, axis=0)
+        del words  # so the next block's gather does not hold three blocks
+    return int(np.unpackbits(image.view(np.uint8), count=p, bitorder="little").sum())

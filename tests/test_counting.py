@@ -199,20 +199,28 @@ def test_packed_count_memory_is_phase_tables_plus_two_blocks():
     # two 64-phase tables of p // 64 + ceil(p/64) words each, one block and
     # its successor (or the C windows and-ed into it), and the block's uint8
     # popcounts; the per-y loop this kernel replaced peaked at 1,097,254 bytes
-    # here, and gathering every shift at once would take 112 MB
+    # here, and gathering every shift at once would take 112 MB.  The slack
+    # of p bytes is far below a third block (about 128 KiB), which a caller
+    # that keeps its block bound while the next is gathered would add.  The
+    # expander adds its two length-p int64 shift arrays and its w-word image.
     p = 30011
     f = field_new(p)
     sets = [random_subset(f, 0.5, seed=p + k) for k in range(3)]
     s1, s2 = value_table(Y, f), value_table(Y2, f)
     w = -(-p // 64)
     tables = 2 * 64 * (p // 64 + w) * 8
-    tracemalloc.start()
-    try:
-        _packed_count(*sets, s1, s2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= tables + 2.125 * counting.COUNT_BLOCK * 8 + 8 * p
+    bound = tables + 2.125 * counting.COUNT_BLOCK * 8 + p
+    for run, limit in (
+        (lambda: _packed_count(*sets, s1, s2), bound),
+        (lambda: expander_image(sets[0], sets[1], Y2, f), bound + 16 * p),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
 
 
 def test_packed_count_agrees_with_lambda3_at_1009():
@@ -555,12 +563,30 @@ def test_expander_degree_gate():
         expander_image(full, full, Y, f)
 
 
-def test_expander_matches_brute_force():
-    f = field_new(31)
-    a = random_subset(f, 0.9, seed=70)
-    b = random_subset(f, 0.9, seed=71)
-    want = len({(u + (v - u) ** 2) % 31 for u in a.members for v in b.members})
-    assert expander_image(a, b, Y2, f) == want
+# P as a string and as a plain Python function; the last is not monic
+EXPANDER_POLYS = (
+    ("y^2", lambda d: d * d),
+    ("y^3", lambda d: d**3),
+    ("2*y^2+y", lambda d: 2 * d * d + d),
+)
+
+
+@pytest.mark.parametrize("poly", EXPANDER_POLYS, ids=lambda t: t[0])
+@pytest.mark.parametrize("density", (0.02, 0.1, 0.5, 0.9))
+@pytest.mark.parametrize("p", (31,) + WORD_PRIMES)
+def test_expander_matches_brute_force(monkeypatch, p, density, poly):
+    # sparse sets leave the image short of F_p; R = 1, 5 and 13 shifts per
+    # block give an uneven last block, as in the packed count tests
+    f = field_new(p)
+    text, q = poly
+    a = random_subset(f, density, seed=70)
+    b = random_subset(f, density, seed=71)
+    want = len({(u + q(v - u)) % p for u in a.members for v in b.members})
+    assert expander_image(a, b, parse_poly(text), f) == want
+    w = -(-p // 64)
+    for block in (1, 5, 13):
+        monkeypatch.setattr(counting, "COUNT_BLOCK", block * w + w // 2)
+        assert expander_image(a, b, parse_poly(text), f) == want, block
 
 
 def test_expander_empty_input():
