@@ -22,6 +22,7 @@ the package's pinned generator.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import errno
 import io
@@ -67,6 +68,7 @@ from .variety import (
     admit,
     growth_report,
     probe_write,
+    v_bounds,
     write_text_atomic,
 )
 
@@ -88,6 +90,16 @@ MAX_PRIME_RANGE = 10**5
 
 class ConfigError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _fs_errors(what: str):
+    """An OSError raised inside, at a path the user named, becomes
+    ConfigError(f"cannot {what}: <strerror>"), so it exits 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot {what}: {exc.strerror}") from exc
 
 
 # --- flag types ------------------------------------------------------------------
@@ -222,18 +234,15 @@ def load_config(path: str) -> list[str]:
     """A flat key = value file as '--key=value' tokens, so its values go
     through the same parser, types and choices as the flags."""
     tokens = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}") from exc
+    with _fs_errors(f"read config file {path!r}"), open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value")
+            key, value = line.split("=", 1)
+            tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     return tokens
 
 
@@ -286,10 +295,8 @@ def get_fibers(pair, p: int, budget: int, cache_dir: str, oracle: str, cached):
         return cached
     dist = ENUMERATORS[oracle](pair, field_new(p), budget=budget)
     path = fiber_path(cache_dir, pair, p)
-    try:
+    with _fs_errors(f"write fiber file {path!r}"):
         dist.save(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot write fiber file {path!r}: {exc.strerror}") from exc
     return dist
 
 
@@ -301,7 +308,8 @@ def warm_fibers(
     all of them; one read of each cached file (cached_fibers, so with
     strict_cache a corrupt file yields its CorruptFiberFile as the value);
     then, for the jobs that must be built only, the budget gate and a write
-    probe of their fiber files; then the builds."""
+    probe of their fiber files, which first makes the cache directory; then
+    the builds."""
     jobs = [(pair, p) for pair in pairs for p in primes]
     fields = {p: field_new(p) for p in primes}
     for pair, p in jobs:
@@ -310,13 +318,11 @@ def warm_fibers(
     build = [job for job, hit in zip(jobs, cached) if hit is None]
     for pair, p in build:
         admit(pair, fields[p], budget, oracle)
-    os.makedirs(cache_dir or os.curdir, exist_ok=True)  # '' is the working directory
     for pair, p in build:
         path = fiber_path(cache_dir, pair, p)
-        try:
+        with _fs_errors(f"write fiber file {path!r}"):
+            os.makedirs(cache_dir or os.curdir, exist_ok=True)  # '' is the working directory
             probe_write(path)
-        except OSError as exc:
-            raise ConfigError(f"cannot write fiber file {path!r}: {exc.strerror}") from exc
 
     def fetch(job, hit):
         return get_fibers(*job, budget, cache_dir, oracle, hit)
@@ -352,25 +358,21 @@ def check_out(out: str | None, cache_dir: str | None) -> None:
     here, since a run that reads no fibers would never make it."""
     if not out:
         return
-    if out.endswith((os.sep, os.altsep or os.sep)):  # abspath drops the separator
-        raise ConfigError(f"cannot write --out {out!r}: {os.strerror(errno.EISDIR)}")
     target = os.path.dirname(os.path.abspath(out))
-    try:
+    with _fs_errors(f"write --out {out!r}"):
+        if out.endswith((os.sep, os.altsep or os.sep)):  # abspath drops the separator
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
         if cache_dir is not None and not os.path.exists(target) and os.path.commonpath(
             [target, os.path.abspath(cache_dir)]
         ) == target:
             os.makedirs(cache_dir, exist_ok=True)
         probe_write(out)
-    except OSError as exc:
-        raise ConfigError(f"cannot write --out {out!r}: {exc.strerror}") from exc
 
 
 def _write_report(text: str, out: str | None) -> None:
     if out:
-        try:
+        with _fs_errors(f"write --out {out!r}"):  # a missing or unwritable directory, say
             write_text_atomic(out, text)
-        except OSError as exc:  # a missing or unwritable directory, say
-            raise ConfigError(f"cannot write --out {out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -545,9 +547,8 @@ def _check_weil(label, pair, fields, **_):
 
 
 def _check_sandwich(label, pair, field, dist, **_):
-    p = field.p
-    ok = p**4 <= dist.v_size <= pair.r1**2 * pair.r2**2 * p**4
-    yield label, ok, f"v_size={dist.v_size}"
+    low, high = v_bounds(pair, field.p)
+    yield label, low <= dist.v_size <= high, f"v_size={dist.v_size}"
 
 
 def _check_decomposition(label, pair, field, subsets, **_):

@@ -62,9 +62,12 @@ float32, which represents every integer up to 2^24, and is kept when its
 computed diagonal stays below F32_LIMIT = 2^24; otherwise that batch is
 redone in float64.  Every partial sum of the float64 total, or of a float64
 block, is at most an entry of the whole Gram, and so at most
-sum_r rowsum_r^2 = |V|.  The enumeration tracks that sum in Python ints and
-stops with WorkBudgetExceeded before it reaches EXACT_LIMIT = 2**53, below
-which float64 represents every integer; the finished c must then sum to it.
+sum_r rowsum_r^2 = |V|.  The enumeration tracks that sum, one int64 sum of
+squares per batch, and stops with WorkBudgetExceeded before it reaches
+EXACT_LIMIT = 2**53, below which float64 represents every integer; the
+finished c must then sum to it.  Each batch's sum is part of |V|, and the
+gate refuses a (pair, p) whose bound r1^2 * r2^2 * p^4 on |V| reaches
+INT64_LIMIT = 2**63, so no int64 sum can wrap.
 
 Two slower paths back this up: a four-variable walk that resolves the
 dependent slots y4, y6, y7, y8 through the per-value root lists of
@@ -80,6 +83,7 @@ import hashlib
 import itertools
 import json
 import os
+import stat
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -112,9 +116,9 @@ EXACT_LIMIT = 1 << 53
 # computed diagonal reaches this is redone in float64 (module docstring).
 F32_LIMIT = 1 << 24
 
-# Batches with fewer keys than this sum their squared K row and column sums
-# in int64.
-SQUARE_SUM_KEYS = 1 << 31
+# admit refuses a (pair, p) whose |V| bound reaches this, so every count and
+# every sum of squared K row or column sums, each at most |V|, fits in int64.
+INT64_LIMIT = 1 << 63
 
 
 def _csr_preimages(values: np.ndarray, p: int):
@@ -189,12 +193,9 @@ class FiberDistribution:
             raise ValueError("histogram must be p nonnegative counts")
         fibers = c.tolist()
         v_size = sum(fibers)
-        p4 = field.p**4
-        upper = pair.r1**2 * pair.r2**2 * p4
-        if not p4 <= v_size <= upper:
-            raise ValueError(
-                f"fiber histogram total {v_size} violates [{p4}, {upper}]"
-            )
+        low, high = v_bounds(pair, field.p)
+        if not low <= v_size <= high:
+            raise ValueError(f"fiber histogram total {v_size} violates [{low}, {high}]")
         return cls(
             field=field,
             pair=pair,
@@ -230,8 +231,12 @@ class FiberDistribution:
         """Read the fiber file of (pair, p).  It is accepted only if it is the
         document save writes for the counts it holds, compared as canonical
         JSON: every key, value and JSON type.  Anything else, an unreadable
-        path included, is CorruptFiberFile."""
+        path included, is CorruptFiberFile; so is a path that is neither a
+        regular file nor a directory, before it is opened (a FIFO would block
+        the open for good)."""
         try:
+            if stat.S_IFMT(os.stat(path).st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
+                raise CorruptFiberFile(f"{path}: fiber file is not a regular file")
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
             if not isinstance(raw, dict):
@@ -259,15 +264,25 @@ def work_estimate(pair: NormalizedPair, p: int, oracle: str = "fast") -> int:
     return p**8 if oracle == "naive8" else pair.r1 * pair.r2 * p**4
 
 
+def v_bounds(pair: NormalizedPair, p: int) -> tuple[int, int]:
+    """The proven bounds p^4 <= |V| <= r1^2 * r2^2 * p^4: y1, y2, y3, y5 are
+    free, and y4, y6, y7, y8 each range over at most r1, r2, r2, r1 roots."""
+    return p**4, pair.r1**2 * pair.r2**2 * p**4
+
+
 def admit(pair: NormalizedPair, field: PrimeField, budget: int, oracle: str) -> None:
     """The gate of ENUMERATORS[oracle]: CharTooSmall below the pair's
-    characteristic, WorkBudgetExceeded when the work estimate passes budget."""
+    characteristic, WorkBudgetExceeded when the work estimate passes budget
+    or the |V| bound reaches INT64_LIMIT."""
     pair.require_char(field)
     est = work_estimate(pair, field.p, oracle)
     if est > budget:
         raise WorkBudgetExceeded(
             f"estimated {est} steps for p = {field.p} exceeds budget {budget}"
         )
+    high = v_bounds(pair, field.p)[1]
+    if high >= INT64_LIMIT:
+        raise WorkBudgetExceeded(f"p = {field.p}: the |V| bound {high} reaches 2**63, past int64")
 
 
 def _slab_batches(cost):
@@ -377,14 +392,10 @@ def _k_gram(pair: NormalizedPair, field: PrimeField) -> tuple[np.ndarray, int]:
         kb = kb.reshape(hi - lo, p, width)[:, :, :p]
         mirrored = kb[1:] if lo == 0 else kb  # slab 0 is its own mirror
 
-        # Row sums r of K, and column sums of the mirrored slabs: each sum
-        # of squares is at most keys.size^2, which is below 2**62, so exact
-        # in int64, while keys.size < SQUARE_SUM_KEYS.
+        # Row sums of K, and column sums of the mirrored slabs: each sum of
+        # their squares is part of |V|, below INT64_LIMIT (admit), so exact.
         rs, cs = kb.sum(axis=2), mirrored.sum(axis=1)
-        if keys.size < SQUARE_SUM_KEYS:
-            v_size += int(np.vdot(rs, rs)) + int(np.vdot(cs, cs))
-        else:
-            v_size += sum(r * r for r in rs.ravel().tolist() + cs.ravel().tolist())
+        v_size += int(np.vdot(rs, rs)) + int(np.vdot(cs, cs))
         if v_size >= EXACT_LIMIT:
             raise WorkBudgetExceeded(
                 f"p = {p}: |V| reaches {EXACT_LIMIT}, the exactness limit of "

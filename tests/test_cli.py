@@ -1,11 +1,14 @@
 """End-to-end checks of the command line: exit codes, report bytes, cache."""
 
 import csv
+import dataclasses
 import errno
 import glob
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -24,6 +27,7 @@ from ffprog.cli import (
     ConfigError,
 )
 from ffprog.counting import count_progressions
+from ffprog.errors import WorkBudgetExceeded
 from ffprog.field import field_new
 from ffprog.polys import normalize_pair, parse_pair
 from ffprog.setfun import random_subset
@@ -873,6 +877,70 @@ def test_corrupt_cached_file_over_budget_exits_before_any_enumeration(tmp_path, 
     assert captured.err == "error: estimated 29282 steps for p = 11 exceeds budget 10000\n"
     assert calls == []
     assert not os.path.exists(cli.fiber_path(str(cache), pair, 7))
+
+
+def test_int64_bound_on_v_exits_before_any_enumeration(tmp_path, monkeypatch):
+    # degrees raised so that r1^2 * r2^2 * p^4 stays below 2**63 at p = 7
+    # and reaches it at p = 11: the sweep stops before p = 7 is enumerated
+    pair = dataclasses.replace(normalize_pair(*parse_pair("y,y^2")), r1=2**12, r2=2**13)
+    assert variety.v_bounds(pair, 7)[1] < 2**63 <= variety.v_bounds(pair, 11)[1]
+    calls = []
+    monkeypatch.setitem(cli.ENUMERATORS, "fast", lambda *args, **kw: calls.append(args))
+    cache = str(tmp_path / "cache")
+    with pytest.raises(WorkBudgetExceeded, match="past int64"):
+        cli.warm_fibers([pair], [7, 11], 10**12, cache)
+    assert calls == []
+    assert not os.path.exists(cli.fiber_path(cache, pair, 7))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["variety", "--pair", "y,y^2", "--primes", "7"],
+        ["charsum", "--pair", "y,y^2", "--primes", "7"],
+        ["verify", "--pair", "y,y^2", "--primes", "7"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cache_dir_name_too_long_fails_before_work(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    cache = "a" * 300  # past NAME_MAX (255 on Linux)
+    path = cli.fiber_path(cache, normalize_pair(*parse_pair("y,y^2")), 7)
+    assert main([*argv, "--cache-dir", cache]) == EXIT_CONFIG
+    cap = capsys.readouterr()
+    assert cap.out == ""  # no enumeration, no table: the probe ran before the work
+    assert cap.err == f"error: cannot write fiber file {path!r}: {os.strerror(errno.ENAMETOOLONG)}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def run_cli(*argv):
+    """ffprog in a fresh process, so that a run that blocks fails on the
+    timeout instead of stalling the suite."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "ffprog.cli", *argv], capture_output=True, text=True,
+        env=env, timeout=60,
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_cached_fiber_path_that_is_a_fifo(tmp_path, capsys):
+    # a FIFO is neither a regular file nor a directory: corrupt, so verify
+    # fails its rows and variety rebuilds the file, without opening it
+    cache = tmp_path / "cache"
+    args = ["--pair", "y,y^2", "--primes", "7", "--cache-dir", str(cache)]
+    assert main(["variety", *args]) == EXIT_OK
+    cold = capsys.readouterr().out
+    path = cli.fiber_path(str(cache), normalize_pair(*parse_pair("y,y^2")), 7)
+    os.unlink(path)
+    os.mkfifo(path)
+    done = run_cli("verify", *args, "--only", "sandwich")
+    assert done.returncode == EXIT_CHECK_FAILED
+    assert done.stdout.startswith(f"FAIL sandwich       y,y^2 p=7  ({path}: fiber file is not")
+    done = run_cli("variety", *args)
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, cold, "")
+    assert os.path.isfile(path) and os.listdir(cache) == [os.path.basename(path)]
 
 
 def test_each_cached_fiber_file_is_read_once_per_run(tmp_path, capsys, monkeypatch):

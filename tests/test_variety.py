@@ -259,16 +259,6 @@ def test_pinned_sizes_y_y2_p101(standard_pairs):
     assert (d.v_size, d.w_size, d.max_fiber) == (107100501, 122782302481301, 4080601)
 
 
-def test_square_sum_python_path_matches_int64(standard_pairs, monkeypatch):
-    pair = standard_pairs["y^2,y^3"]
-    f = field_new(31)
-    want = enumerate_fibers(pair, f)
-    monkeypatch.setattr(variety, "SQUARE_SUM_KEYS", 0)
-    got = enumerate_fibers(pair, f)
-    assert got.c.tolist() == want.c.tolist()
-    assert got.v_size == want.v_size
-
-
 @pytest.mark.parametrize("spec", ["y,y^2", "y^2,y^3"])
 def test_enumeration_memory_is_batch_sized(standard_pairs, spec):
     # batches of 2**20 keys peaked at 28.4 MiB (y,y^2) and 22.3 MiB (y^2,y^3)
