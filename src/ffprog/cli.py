@@ -11,8 +11,8 @@ normalize  show the normalized form of a pair (degrees, min_char, hash)
 certify    root-separation certificates up to a degree cap
 
 Exit codes: 0 success, 1 failed verification/certification, 2 bad
-configuration or inadmissible input, 3 characteristic too small, 4 work
-budget exceeded.
+configuration, inadmissible input, or a path or stdout that cannot be read
+or written, 3 characteristic too small, 4 work budget exceeded.
 
 Reports are deterministic: JSON is dumped with sorted keys, CSV rows are
 emitted in sorted sweep order, and all randomness flows from --seed through
@@ -49,6 +49,7 @@ from .errors import (
     WorkBudgetExceeded,
 )
 from .field import MAX_P, field_new, is_prime
+from .files import probe_write, read_text, write_text_atomic
 from .fourier import char_sums_over_fibers, lambda_prime_spectral, weil_ratio
 from .polys import build_aux_system, normalize_pair, parse_pair, parse_poly
 from .setfun import balance, parse_random_spec, parse_subset, random_subset
@@ -67,9 +68,7 @@ from .variety import (
     SCHEMA_VERSION,
     admit,
     growth_report,
-    probe_write,
     v_bounds,
-    write_text_atomic,
 )
 
 EXIT_OK = 0
@@ -94,8 +93,8 @@ class ConfigError(Exception):
 
 @contextlib.contextmanager
 def _fs_errors(what: str):
-    """An OSError raised inside, at a path the user named, becomes
-    ConfigError(f"cannot {what}: <strerror>"), so it exits 2."""
+    """An OSError raised inside, at a path the user named or at stdout,
+    becomes ConfigError(f"cannot {what}: <strerror>"), so it exits 2."""
     try:
         yield
     except OSError as exc:
@@ -233,16 +232,17 @@ def build_parser() -> argparse.ArgumentParser:
 def load_config(path: str) -> list[str]:
     """A flat key = value file as '--key=value' tokens, so its values go
     through the same parser, types and choices as the flags."""
+    with _fs_errors(f"read config file {path!r}"):
+        text = read_text(path)
     tokens = []
-    with _fs_errors(f"read config file {path!r}"), open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     return tokens
 
 
@@ -370,11 +370,13 @@ def check_out(out: str | None, cache_dir: str | None) -> None:
 
 
 def _write_report(text: str, out: str | None) -> None:
-    if out:
-        with _fs_errors(f"write --out {out!r}"):  # a missing or unwritable directory, say
+    # a missing or unwritable --out directory, say, or a reader that has gone
+    with _fs_errors(f"write --out {out!r}" if out else "write to stdout"):
+        if out:
             write_text_atomic(out, text)
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a closed stdout raises here, not at exit
 
 
 def emit_rows(command: str, meta: dict, columns, rows, fmt: str, out: str | None) -> None:
@@ -643,12 +645,10 @@ def cmd_verify(args) -> int:
     order = list(VERIFY_CHECKS)
     rows.sort(key=lambda r: (order.index(r[0]), r[1]))
     failed = [r for r in rows if r[2] == "FAIL"]
-    for check, instance, status, detail in rows:
-        line = f"{status:4s} {check:14s} {instance}"
-        if detail and status == "FAIL":
-            line += f"  ({detail})"
-        print(line)
-    print(f"{len(rows) - len(failed)}/{len(rows)} checks passed")
+    table = [f"{s:4s} {c:14s} {i}" + (f"  ({d})" if d and s == "FAIL" else "")
+             for c, i, s, d in rows]
+    table.append(f"{len(rows) - len(failed)}/{len(rows)} checks passed")
+    _write_report("\n".join(table) + "\n", None)
 
     if args.out:
         columns = ("check", "instance", "status", "detail")

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import BadDensity
 from .field import PrimeField
+from .files import read_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,13 +132,9 @@ def parse_subset(spec: str, field: PrimeField) -> SubsetSpec:
     s = spec.strip()
     if s.startswith("random:"):
         return random_subset(field, *parse_random_spec(s))
-    members = []
     try:
-        with open(s, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    members.append(int(line))
+        text = read_text(s)
     except OSError as exc:
         raise ValueError(f"cannot read subset file {s!r}: {exc.strerror}") from None
-    return SubsetSpec.from_members(field, members)
+    members = (line.split("#", 1)[0].strip() for line in text.split("\n"))
+    return SubsetSpec.from_members(field, [int(m) for m in members if m])

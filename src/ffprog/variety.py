@@ -78,13 +78,9 @@ oracle, which its budget gate charges p^8 steps).
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import itertools
 import json
-import os
-import stat
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -92,6 +88,7 @@ import numpy as np
 
 from .errors import CorruptFiberFile, WorkBudgetExceeded
 from .field import PrimeField, field_new, value_table
+from .files import NotRegularFile, read_text, write_text_atomic
 from .polys import NormalizedPair
 from .fourier import char_sums_over_fibers
 
@@ -139,40 +136,6 @@ def _preimage_lists(values: np.ndarray, p: int) -> list:
     counts, offsets, roots = _csr_preimages(values, p)
     roots = roots.tolist()
     return [roots[o : o + n] for o, n in zip(offsets.tolist(), counts.tolist())]
-
-
-def _atomic_temp_path(path) -> str:
-    """The same-directory temp name write_text_atomic writes before its rename."""
-    return f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
-
-
-def write_text_atomic(path, text: str) -> None:
-    """Write a file atomically: a same-directory temp file, then rename.
-
-    Readers see either the old file or the complete new one, even if the
-    writer dies midway or another worker writes the same path.
-    """
-    tmp = _atomic_temp_path(path)
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def probe_write(path) -> None:
-    """OSError unless write_text_atomic could write path: its temp file is
-    created and removed, so the file system gives the answer, and path is
-    no directory, which the rename cannot replace (a link it can)."""
-    tmp = _atomic_temp_path(path)
-    with open(tmp, "w", encoding="utf-8"):
-        pass
-    os.unlink(tmp)
-    if os.path.isdir(path) and not os.path.islink(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 @dataclass
@@ -232,18 +195,16 @@ class FiberDistribution:
         document save writes for the counts it holds, compared as canonical
         JSON: every key, value and JSON type.  Anything else, an unreadable
         path included, is CorruptFiberFile; so is a path that is neither a
-        regular file nor a directory, before it is opened (a FIFO would block
-        the open for good)."""
+        regular file nor a directory, which read_text refuses unopened."""
         try:
-            if stat.S_IFMT(os.stat(path).st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
-                raise CorruptFiberFile(f"{path}: fiber file is not a regular file")
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+            raw = json.loads(read_text(path))
             if not isinstance(raw, dict):
                 raise CorruptFiberFile(f"{path}: fiber file is not a JSON object")
             if raw.get("p") != p:
                 raise CorruptFiberFile(f"{path}: fiber file is for p={raw.get('p')!r}, not p={p}")
             dist = cls.from_histogram(field_new(p), pair, raw["c"])
+        except NotRegularFile as exc:
+            raise CorruptFiberFile(f"{path}: fiber file is not a regular file") from exc
         except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise CorruptFiberFile(f"{path}: {type(exc).__name__}: {exc}") from exc
         want = dist.to_json_dict()

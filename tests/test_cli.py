@@ -913,14 +913,14 @@ def test_cache_dir_name_too_long_fails_before_work(tmp_path, capsys, monkeypatch
     assert os.listdir(tmp_path) == []
 
 
-def run_cli(*argv):
+def run_cli(*argv, stdout=subprocess.PIPE):
     """ffprog in a fresh process, so that a run that blocks fails on the
     timeout instead of stalling the suite."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-m", "ffprog.cli", *argv], capture_output=True, text=True,
-        env=env, timeout=60,
+        [sys.executable, "-m", "ffprog.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+        text=True, env=env, timeout=60,
     )
 
 
@@ -941,6 +941,45 @@ def test_cached_fiber_path_that_is_a_fifo(tmp_path, capsys):
     done = run_cli("variety", *args)
     assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, cold, "")
     assert os.path.isfile(path) and os.listdir(cache) == [os.path.basename(path)]
+
+
+@pytest.mark.parametrize("kind", ["fifo", "device"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [("--config", "cannot read config file"), ("--sets", "--sets: cannot read subset file")],
+)
+def test_fifo_or_device_as_sets_or_config_exits_config(tmp_path, kind, flag, message):
+    # neither a regular file nor a directory: refused before the open, which
+    # blocks for good on a FIFO and reads an empty file from /dev/null
+    if kind == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("needs os.mkfifo")
+        path = str(tmp_path / "F")
+        os.mkfifo(path)
+    else:
+        path = os.devnull
+    done = run_cli("count", "--pair", "y,y^2", "--primes", "7", flag, path)
+    assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+    assert done.stderr == f"error: {message} {path!r}: not a regular file\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--pair", "y,y^2", "--primes", "7", "--only", "lm,weil"],
+        ["charsum", "--pair", "y,y^2", "--primes", "7"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_exits_config_with_one_error_line(tmp_path, argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the report is written
+    try:
+        done = run_cli(*argv, "--cache-dir", str(tmp_path / "cache"), stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_CONFIG
+    assert done.stderr == f"error: cannot write to stdout: {os.strerror(errno.EPIPE)}\n"
 
 
 def test_each_cached_fiber_file_is_read_once_per_run(tmp_path, capsys, monkeypatch):
