@@ -30,7 +30,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple
 
 from .counting import (
@@ -137,13 +136,6 @@ def parse_checks(text: str) -> set[str]:
     return selected
 
 
-def cert_degree(text: str) -> int:
-    rmax = int(text)
-    if not 1 <= rmax <= MAX_CERT_DEGREE:
-        raise ConfigError(f"rmax must lie in [1, {MAX_CERT_DEGREE}]")
-    return rmax
-
-
 def cert_threshold(text: str) -> float:
     threshold = float(text)
     if not (math.isfinite(threshold) and threshold >= 0):
@@ -151,16 +143,24 @@ def cert_threshold(text: str) -> float:
     return threshold
 
 
-def at_least(low: int, name: str):
-    """Flag type: an integer >= low, else a ConfigError that names the flag."""
+# argparse's "invalid <name> value" message names the flag
+parse_primes.__name__ = "primes"
+parse_checks.__name__ = "only"
+cert_threshold.__name__ = "threshold"
+
+
+def at_least(low: int, name: str, high: float = math.inf):
+    """Flag type: an integer in [low, high], else a ConfigError that names the flag."""
+    rule = (f"be >= {low}" if high == math.inf else
+            f"be {low}" if high == low else f"lie in [{low}, {high}]")
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise ConfigError(f"{name} must be >= {low}")
+        if not low <= value <= high:
+            raise ConfigError(f"{name} must {rule}")
         return value
 
-    parse.__name__ = name  # argparse's "invalid <name> value" message
+    parse.__name__ = name
     return parse
 
 
@@ -172,14 +172,18 @@ FLAGS = {
     "sets": dict(help="subset specs: files or random:<density>:<seed>"),
     "seed": dict(type=at_least(0, "seed"), help="base seed for the seeded checks (>= 0)"),
     "budget": dict(type=at_least(1, "budget"), help="work cap for fiber enumeration (>= 1)"),
-    "workers": dict(type=at_least(1, "workers"), help="parallel fiber jobs (>= 1)"),
+    # fiber jobs run one after another; the flag stays while bench/workloads.py passes 1
+    "workers": dict(type=at_least(1, "workers", 1), help="fiber jobs at a time; must be 1"),
     "out": dict(help="write the report here instead of stdout"),
     "format": dict(choices=("json", "csv"), help="report format"),
     "config": dict(help="flat key=value config file; flags win"),
     "cache_dir": dict(help="fiber file cache directory"),
     "oracle": dict(choices=sorted(ENUMERATORS), help="enumerator to use"),
     "only": dict(type=parse_checks, help="comma list of checks to run"),
-    "rmax": dict(type=cert_degree, help=f"certificate degree cap, 1..{MAX_CERT_DEGREE}"),
+    "rmax": dict(
+        type=at_least(1, "rmax", MAX_CERT_DEGREE),
+        help=f"certificate degree cap, 1..{MAX_CERT_DEGREE}",
+    ),
     "threshold": dict(type=cert_threshold, help="certificate threshold, finite and >= 0"),
 }
 
@@ -212,8 +216,19 @@ COMMAND_FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with --help written like a report: a stdout that cannot
+    take it exits 2 with one error line (subcommand parsers are this class too)."""
+
+    def print_help(self, file=None):
+        if file is None:
+            _write_report(self.format_help(), None)
+        else:
+            super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ffprog",
         description="Progression counting and variety experiments over prime fields.",
     )
@@ -300,16 +315,15 @@ def get_fibers(pair, p: int, budget: int, cache_dir: str, oracle: str, cached):
     return dist
 
 
-def warm_fibers(
-    pairs, primes, budget, cache_dir, workers=1, oracle="fast", strict_cache=False
-):
+def warm_fibers(pairs, primes, budget, cache_dir, oracle="fast", strict_cache=False):
     """get_fibers for every (pair, p), keyed by (pair.key(), p).  Every job is
     decided before any enumeration, in this order: the characteristic gate on
     all of them; one read of each cached file (cached_fibers, so with
     strict_cache a corrupt file yields its CorruptFiberFile as the value);
     then, for the jobs that must be built only, the budget gate and a write
     probe of their fiber files, which first makes the cache directory; then
-    the builds."""
+    the builds, one after another in sweep order, so a failed build stops
+    the sweep before the next one starts."""
     jobs = [(pair, p) for pair in pairs for p in primes]
     fields = {p: field_new(p) for p in primes}
     for pair, p in jobs:
@@ -323,16 +337,10 @@ def warm_fibers(
         with _fs_errors(f"write fiber file {path!r}"):
             os.makedirs(cache_dir or os.curdir, exist_ok=True)  # '' is the working directory
             probe_write(path)
-
-    def fetch(job, hit):
-        return get_fibers(*job, budget, cache_dir, oracle, hit)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fetch, jobs, cached))
-    else:
-        results = list(map(fetch, jobs, cached))
-    return {(pair.key(), p): dist for (pair, p), dist in zip(jobs, results)}
+    return {
+        (pair.key(), p): get_fibers(pair, p, budget, cache_dir, oracle, hit)
+        for (pair, p), hit in zip(jobs, cached)
+    }
 
 
 # --- report emission -------------------------------------------------------------
@@ -442,9 +450,7 @@ def cmd_count(args) -> int:
 
 def cmd_variety(args) -> int:
     pair = normalize_pair(*parse_pair(args.pair))
-    fibers = warm_fibers(
-        [pair], args.primes, args.budget, args.cache_dir, args.workers, args.oracle
-    )
+    fibers = warm_fibers([pair], args.primes, args.budget, args.cache_dir, args.oracle)
     rows = growth_report({p: fibers[(pair.key(), p)] for p in args.primes})
     emit_rows("variety", {"pair": args.pair}, GrowthRow._fields, rows, args.format, args.out)
     return EXIT_OK
@@ -607,9 +613,7 @@ def cmd_verify(args) -> int:
     # fiber distributions, via the cache; corruption surfaces as check failures
     fibers = {}
     if any(c.reads_fibers for c in checks.values()):
-        fibers = warm_fibers(
-            pairs, args.primes, args.budget, args.cache_dir, args.workers, strict_cache=True
-        )
+        fibers = warm_fibers(pairs, args.primes, args.budget, args.cache_dir, strict_cache=True)
 
     rows = []
 

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -27,7 +28,7 @@ from ffprog.cli import (
     ConfigError,
 )
 from ffprog.counting import count_progressions
-from ffprog.errors import WorkBudgetExceeded
+from ffprog.errors import FFProgError, WorkBudgetExceeded
 from ffprog.field import field_new
 from ffprog.polys import normalize_pair, parse_pair
 from ffprog.setfun import random_subset
@@ -202,14 +203,13 @@ AT_269 = "estimated 10472228642 steps for p = 269"
     "argv, err",
     [
         (["variety", "--primes", "257,263,269,271", *OVER_SWEEP, "--workers", "1"], AT_269),
-        (["variety", "--primes", "257,263,269,271", *OVER_SWEEP, "--workers", "2"], AT_269),
         (["charsum", "--primes", "257,269", *OVER_SWEEP], AT_269),
         (["verify", "--primes", "257,269", "--only", "sandwich", *OVER_SWEEP], AT_269),
         # naive8 is charged 5^8 = 390625 at p = 5 and 7^8 at p = 7
         (["variety", "--oracle", "naive8", "--primes", "5,7", "--budget", "390625"],
          "estimated 5764801 steps for p = 7"),
     ],
-    ids=["variety", "variety-workers-2", "charsum", "verify", "naive8"],
+    ids=["variety", "charsum", "verify", "naive8"],
 )
 def test_sweep_over_budget_exits_before_any_enumeration(tmp_path, capsys, argv, err):
     cache = tmp_path / "cache"
@@ -836,6 +836,34 @@ def test_variety_fails_on_an_unwritable_fiber_file_before_enumerating(tmp_path, 
     assert os.listdir(cache) == [os.path.basename(path)]
 
 
+@pytest.mark.parametrize(
+    "error",
+    [*cli.ERROR_EXITS, FFProgError],
+    ids=lambda cls: cls.__name__,
+)
+def test_a_failed_build_stops_the_sweep_in_order(tmp_path, capsys, monkeypatch, error):
+    # builds run one after another in sweep order: the one before the failed
+    # build is saved, the one after it never starts
+    cache = tmp_path / "cache"
+    pair = normalize_pair(*parse_pair("y,y^2"))
+    calls = []
+
+    def enumerator(pair, field, budget):
+        calls.append(field.p)
+        if field.p == 11:
+            time.sleep(0.1)  # time enough for a concurrent p = 13 build to start
+            raise error("injected")
+        return enumerate_fibers(pair, field, budget=budget)
+
+    monkeypatch.setitem(cli.ENUMERATORS, "fast", enumerator)
+    args = ["variety", "--pair", "y,y^2", "--primes", "7,11,13", "--cache-dir", str(cache)]
+    assert main(args) == cli.ERROR_EXITS.get(error, EXIT_CONFIG)
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: injected\n")
+    assert calls == [7, 11]
+    assert os.listdir(cache) == [os.path.basename(cli.fiber_path(str(cache), pair, 7))]
+
+
 def test_a_sound_cached_fiber_file_need_not_be_writable(tmp_path, capsys, monkeypatch):
     # a file that loads is never rewritten, so a failed write probe on it is
     # no error; a missing file with a failed probe is
@@ -964,22 +992,37 @@ def test_fifo_or_device_as_sets_or_config_exits_config(tmp_path, kind, flag, mes
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, sink",
     [
-        ["verify", "--pair", "y,y^2", "--primes", "7", "--only", "lm,weil"],
-        ["charsum", "--pair", "y,y^2", "--primes", "7"],
+        pytest.param(
+            ["verify", "--pair", "y,y^2", "--primes", "7", "--only", "lm,weil"], "closed", id="verify"
+        ),
+        pytest.param(["charsum", "--pair", "y,y^2", "--primes", "7"], "closed", id="charsum"),
+        pytest.param(["--help"], "closed", id="help"),
+        pytest.param(["count", "--help"], "closed", id="count-help"),
+        pytest.param(["--help"], "full", id="help-dev-full"),
+        pytest.param(["charsum", "--pair", "y,y^2", "--primes", "7"], "full", id="charsum-dev-full"),
     ],
-    ids=lambda argv: argv[0],
 )
-def test_closed_stdout_exits_config_with_one_error_line(tmp_path, argv):
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # the reader has gone before the report is written
+def test_closed_stdout_exits_config_with_one_error_line(tmp_path, argv, sink):
+    # "closed": a pipe whose reader has gone before the report is written;
+    # "full": /dev/full, where every write fails with ENOSPC
+    if sink == "closed":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        reason = os.strerror(errno.EPIPE)
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        write_end = os.open("/dev/full", os.O_WRONLY)
+        reason = os.strerror(errno.ENOSPC)
     try:
+        # --help exits before argparse reads the flags after it
         done = run_cli(*argv, "--cache-dir", str(tmp_path / "cache"), stdout=write_end)
     finally:
         os.close(write_end)
     assert done.returncode == EXIT_CONFIG
-    assert done.stderr == f"error: cannot write to stdout: {os.strerror(errno.EPIPE)}\n"
+    assert done.stderr == f"error: cannot write to stdout: {reason}\n"
 
 
 def test_each_cached_fiber_file_is_read_once_per_run(tmp_path, capsys, monkeypatch):
@@ -1032,22 +1075,22 @@ def test_verify_weil_detail_is_a_plain_float(tmp_path, capsys):
         assert key == "max_ratio" and 0 < float(value) <= 1
 
 
-def test_verify_workers_do_not_change_report(tmp_path, capsys):
-    reports, fiber_files = {}, {}
-    for workers in ("1", "2"):
-        cache = tmp_path / f"cache{workers}"
-        out = tmp_path / f"verify{workers}.json"
-        args = ["verify", "--primes", "7,11", "--cache-dir", str(cache), "--out", str(out)]
-        assert main([*args, "--workers", workers]) == EXIT_OK
-        reports[workers] = out.read_bytes()
-        fiber_files[workers] = {
-            os.path.basename(path): open(path, "rb").read()
-            for path in glob.glob(str(cache / "fibers_*.json"))
-        }
-    capsys.readouterr()
-    assert reports["1"] == reports["2"]
-    assert len(fiber_files["1"]) == 8
-    assert fiber_files["1"] == fiber_files["2"]
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["variety", "verify"])
+def test_workers_other_than_1_exits_before_any_fiber_file(tmp_path, capsys, command, source):
+    # fiber jobs run one after another, so --workers accepts only 1
+    cache = tmp_path / "cache"
+    args = [command, "--pair", "y,y^2", "--primes", "7,11", "--cache-dir", str(cache)]
+    if source == "flag":
+        args += ["--workers", "2"]
+    else:
+        conf = tmp_path / "conf.txt"
+        conf.write_text("workers = 2\n")
+        args += ["--config", str(conf)]
+    assert main(args) == EXIT_CONFIG
+    cap = capsys.readouterr()
+    assert (cap.out, cap.err) == ("", "error: workers must be 1\n")
+    assert not cache.exists()
 
 
 def test_verify_builds_three_subsets_per_instance(tmp_path, capsys, monkeypatch):
@@ -1282,3 +1325,26 @@ def test_range_checked_wherever_flag_is_taken(command, name, value, tmp_path, ca
     conf.write_text(f"{name} = {value}\n")
     assert main([*base, "--config", str(conf)]) == EXIT_CONFIG
     assert f"{name} must" in capsys.readouterr().err
+
+
+TYPED_FLAGS = sorted(name for name, spec in FLAGS.items() if "type" in spec)
+
+
+@pytest.mark.parametrize("name", TYPED_FLAGS)
+def test_each_flag_type_names_its_flag(name, tmp_path, capsys):
+    # argparse's "invalid <type name> value" message, from a flag and from a
+    # config file; parse_checks reads any text, so for --only "x" is an
+    # unknown check instead
+    assert FLAGS[name]["type"].__name__ == name
+    command = next(c for c, flags in sorted(COMMAND_FLAGS.items()) if name in flags)
+    base = [command, *quick_args(command, tmp_path)]
+    want = (
+        "error: unknown checks ['x']" if name == "only"
+        else f"error: argument {as_flag(name)}: invalid {name} value: 'x'\n"
+    )
+    assert main([*base, as_flag(name), "x"]) == EXIT_CONFIG
+    assert want in capsys.readouterr().err
+    conf = tmp_path / "conf.txt"
+    conf.write_text(f"{name} = x\n")
+    assert main([*base, "--config", str(conf)]) == EXIT_CONFIG
+    assert want in capsys.readouterr().err
