@@ -19,6 +19,7 @@ from .field import field_new, value_table
 from .polys import (
     Diagnosis,
     IntPoly,
+    MultiPoly,
     build_aux_system,
     check_admissible,
     normalize_pair,
@@ -64,7 +65,6 @@ from .variety import (
 from .symbolic import (
     AUX_ORDER,
     AUX_ORDER_EQUAL,
-    MultiPoly,
     VarOrder,
     certify_separation_equal,
     certify_separation_unequal,

@@ -14,9 +14,15 @@ form the analysis modules expect:
 The normalized pair also carries P2' = P2 - P1 and, in the equal-degree
 case, the remainder P3 = P2 - (b/a) * P1 whose degree r3 satisfies
 0 < r3 < r1.  min_char is the smallest characteristic in which every
-reduction below is faithful: 1 + the max of r2, every coefficient numerator
-and denominator magnitude in P1, P2, P2', P3, and the three leading
-coefficient magnitudes.
+reduction below is faithful: 1 + the max of r2 and every coefficient
+numerator and denominator magnitude in P1, P2, P2', P3 (the leading
+coefficients among them).
+
+The eight-variable auxiliary system is held as MultiPoly values: each of its
+polynomials is a sum of univariate parts, sum over v of P_v(y_v), so the
+algebra it needs is IntPoly's, part by part.
+
+Parsing caps the degree at MAX_DEGREE before any coefficient list is built.
 """
 
 from __future__ import annotations
@@ -26,10 +32,16 @@ import hashlib
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 
-from .errors import CharTooSmall, Inadmissible
-from .symbolic import MultiPoly
+from .errors import CharTooSmall, Inadmissible, ZeroPolynomial
+from .symbolic import NVARS, VarOrder, grlex_compare, pure_power
+
+# Largest degree parse_poly accepts, like cli.MAX_PRIME_RANGE a fail-fast
+# cap: `normalize --pair y^99999,y^100000` takes 1.3 s and 60 MB (one
+# process, 2-core VM), while an uncapped y^(10^22) would ask for a
+# coefficient list of that length.
+MAX_DEGREE = 10**5
 
 
 class Diagnosis(enum.Enum):
@@ -136,9 +148,113 @@ class IntPoly:
         return out
 
 
+@dataclass(frozen=True)
+class MultiPoly:
+    """A sum of univariate parts: the sum over v of parts[v](y_{v+1}).
+
+    Every polynomial of the auxiliary system has this shape, and sums,
+    differences and scalar multiples keep it, so the algebra is IntPoly's,
+    part by part.  The constant term lives in ``parts[0]``; __post_init__
+    moves any other part's constant there, so equal polynomials have equal
+    parts (and equal hashes).
+    """
+
+    parts: tuple
+
+    def __post_init__(self) -> None:
+        head, *rest = self.parts
+        if any(q.constant_term for q in rest):
+            head += IntPoly.monomial(0, sum(q.constant_term for q in rest))
+            rest = [IntPoly.from_coeffs((0,) + q.coeffs[1:]) for q in rest]
+        object.__setattr__(self, "parts", (head, *rest))
+
+    @classmethod
+    def zero(cls, nvars: int = NVARS) -> "MultiPoly":
+        return cls((IntPoly.zero(),) * nvars)
+
+    @classmethod
+    def univariate(cls, coeffs, var: int, nvars: int = NVARS) -> "MultiPoly":
+        """P(y_var) for a coefficient sequence (index = degree); ``var`` is
+        1-based to match the y1..y8 naming."""
+        if not 1 <= var <= nvars:
+            raise ValueError(f"variable index {var} out of range")
+        parts = [IntPoly.zero()] * nvars
+        parts[var - 1] = IntPoly.from_coeffs(coeffs)
+        return cls(tuple(parts))
+
+    @property
+    def nvars(self) -> int:
+        return len(self.parts)
+
+    @property
+    def is_zero(self) -> bool:
+        return all(q.is_zero for q in self.parts)
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: coefficient} over the nonzero terms."""
+        return {
+            pure_power(v + 1, k, self.nvars): c
+            for v, q in enumerate(self.parts)
+            for k, c in enumerate(q.coeffs)
+            if c
+        }
+
+    def total_degree(self) -> int:
+        if self.is_zero:
+            raise ZeroPolynomial("zero polynomial has no degree")
+        return max(q.degree for q in self.parts)
+
+    def _zip(self, other: "MultiPoly", op) -> "MultiPoly":
+        if self.nvars != other.nvars:
+            raise ValueError("arity mismatch")
+        return MultiPoly(tuple(op(a, b) for a, b in zip(self.parts, other.parts)))
+
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        return self._zip(other, IntPoly.__add__)
+
+    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
+        return self._zip(other, IntPoly.__sub__)
+
+    def scale(self, c) -> "MultiPoly":
+        return MultiPoly(tuple(q.scale(c) for q in self.parts))
+
+    def leading_monomial(self, order: VarOrder) -> tuple:
+        """Largest monomial under the graded-lex order: the largest of the
+        parts' top pure powers, since each part's top beats its lower terms."""
+        tops = [
+            pure_power(v + 1, q.degree, self.nvars)
+            for v, q in enumerate(self.parts)
+            if not q.is_zero
+        ]
+        if not tops:
+            raise ZeroPolynomial("zero polynomial has no leading monomial")
+        return max(tops, key=cmp_to_key(lambda a, b: grlex_compare(a, b, order)))
+
+    def evaluate(self, point) -> Fraction:
+        """Exact evaluation at a tuple of rationals."""
+        return sum((q.evalq(x) for q, x in zip(self.parts, point)), Fraction(0))
+
+
 _TERM_RE = re.compile(
     r"^([+-]?)(\d+(?:/\d+)?)?(?:\*?(y)(?:\^(\d+))?)?$"
 )
+
+
+def _fraction(text: str, term: str) -> Fraction:
+    """A coefficient; a zero denominator is a ValueError that quotes the term."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in term {term!r}") from None
+
+
+def _check_degree(degree_text: str, term: str) -> int:
+    """The exponent of a term, refused above MAX_DEGREE before int() reads it."""
+    digits = degree_text.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+        raise ValueError(f"degree of term {term!r} exceeds the cap of {MAX_DEGREE}")
+    return int(digits)
 
 
 def parse_poly(text: str) -> IntPoly:
@@ -151,7 +267,12 @@ def parse_poly(text: str) -> IntPoly:
         inner = s[1:-1].strip()
         if not inner:
             return IntPoly.zero()
-        return IntPoly.from_coeffs(Fraction(tok.strip()) for tok in inner.split(","))
+        tokens = inner.split(",")
+        if len(tokens) - 1 > MAX_DEGREE:
+            raise ValueError(
+                f"coefficient list of {len(tokens)} entries exceeds the degree cap of {MAX_DEGREE}"
+            )
+        return IntPoly.from_coeffs(_fraction(tok, tok.strip()) for tok in tokens)
 
     s = s.replace(" ", "")
     if not s:
@@ -165,11 +286,11 @@ def parse_poly(text: str) -> IntPoly:
         if not m or (m.group(2) is None and m.group(3) is None):
             raise ValueError(f"cannot parse term {term!r} in {text!r}")
         sign = -1 if m.group(1) == "-" else 1
-        coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        coeff = _fraction(m.group(2), term) if m.group(2) else Fraction(1)
         if m.group(3) is None:
             k = 0
         elif m.group(4) is not None:
-            k = int(m.group(4))
+            k = _check_degree(m.group(4), term)
         else:
             k = 1
         coeffs[k] = coeffs.get(k, Fraction(0)) + sign * coeff
@@ -198,13 +319,14 @@ def check_admissible(p1: IntPoly, p2: IntPoly):
         return False, Diagnosis.ZERO_POLYNOMIAL
     if p1.constant_term != 0 or p2.constant_term != 0:
         return False, Diagnosis.ZERO_CONSTANT_VIOLATED
+    # Two nonzero rows are dependent iff every column is a multiple of the
+    # first nonzero column (u_k, v_k), so one pass over the minors at k decides.
     n = max(len(p1.coeffs), len(p2.coeffs))
-    u = [p1.coeffs[i] if i < len(p1.coeffs) else Fraction(0) for i in range(n)]
-    v = [p2.coeffs[i] if i < len(p2.coeffs) else Fraction(0) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if u[i] * v[j] != u[j] * v[i]:
-                return True, None
+    u = p1.coeffs + (Fraction(0),) * (n - len(p1.coeffs))
+    v = p2.coeffs + (Fraction(0),) * (n - len(p2.coeffs))
+    k = next(i for i in range(n) if u[i] or v[i])
+    if any(u[k] * v[j] != u[j] * v[k] for j in range(k + 1, n)):
+        return True, None
     return False, Diagnosis.LINEARLY_DEPENDENT
 
 
@@ -290,7 +412,6 @@ def normalize_pair(p1: IntPoly, p2: IntPoly) -> NormalizedPair:
     magnitudes = [r2]
     for poly in (p1, p2, p2prime) + ((p3,) if p3 is not None else ()):
         magnitudes.extend(_coeff_magnitudes(poly))
-    magnitudes.extend(abs(c.numerator) for c in (lead_a, lead_b, lead_c))
     min_char = 1 + max(magnitudes)
 
     return NormalizedPair(
@@ -336,11 +457,11 @@ class AuxSystem:
 
 
 def _alternating(poly: IntPoly, slots) -> MultiPoly:
-    acc = MultiPoly.zero()
+    """The sum of sign * poly(y_var) over (var, sign) slots, one per variable."""
+    parts = [IntPoly.zero()] * NVARS
     for var, sign in slots:
-        term = MultiPoly.univariate(poly.coeffs, var)
-        acc = acc + term if sign > 0 else acc - term
-    return acc
+        parts[var - 1] = poly if sign > 0 else -poly
+    return MultiPoly(tuple(parts))
 
 
 def build_aux_system(pair: NormalizedPair) -> AuxSystem:

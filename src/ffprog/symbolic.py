@@ -1,9 +1,11 @@
-"""Exact multivariate polynomials, graded-lex orders, and root certificates.
+"""Graded-lex orders, the leading-monomial claims, and root certificates.
 
-Everything here runs over the rationals (fractions.Fraction), so statements
-verified symbolically hold in every characteristic above the pair's
-min_char.  Monomials are fixed-length exponent tuples; the auxiliary system
-lives in eight variables y1..y8.
+Monomials are fixed-length exponent tuples; the auxiliary system lives in
+eight variables y1..y8, and its polynomials (polys.MultiPoly, sums of
+univariate parts over the rationals) are compared here under AUX_ORDER.
+verify_lm_claims checks that each of the four defining polynomials has a
+pure-power leading monomial in its own distinguished variable; over the
+rationals that holds in every characteristic above the pair's min_char.
 
 The certificate functions at the bottom establish, in complex double
 precision with a generous margin, that two explicit univariate polynomials
@@ -16,9 +18,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
-from .errors import BadDegrees, ZeroPolynomial
+from .errors import BadDegrees
 
 NVARS = 8
 
@@ -69,142 +70,8 @@ def grlex_compare(m1: Monomial, m2: Monomial, order: VarOrder) -> int:
     return 0
 
 
-class MultiPoly:
-    """A sparse multivariate polynomial with Fraction coefficients."""
-
-    __slots__ = ("terms", "nvars")
-
-    def __init__(self, terms=None, nvars: int = NVARS):
-        self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                if len(m) != nvars:
-                    raise ValueError(f"monomial {m} has wrong arity")
-                c = Fraction(c)
-                if c != 0:
-                    self.terms[tuple(m)] = c
-
-    @classmethod
-    def zero(cls, nvars: int = NVARS) -> "MultiPoly":
-        return cls(nvars=nvars)
-
-    @classmethod
-    def univariate(cls, coeffs, var: int, nvars: int = NVARS) -> "MultiPoly":
-        """P(y_var) for a univariate coefficient sequence (index = degree).
-
-        ``var`` is 1-based to match the y1..y8 naming.
-        """
-        if not 1 <= var <= nvars:
-            raise ValueError(f"variable index {var} out of range")
-        terms = {}
-        for k, c in enumerate(getattr(coeffs, "coeffs", coeffs)):
-            c = Fraction(c)
-            if c == 0:
-                continue
-            e = [0] * nvars
-            e[var - 1] = k
-            terms[tuple(e)] = c
-        return cls(terms, nvars=nvars)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no degree")
-        return max(sum(m) for m in self.terms)
-
-    def _binop(self, other, sign: int) -> "MultiPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("arity mismatch")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, Fraction(0)) + sign * c
-            if v == 0:
-                out.pop(m, None)
-            else:
-                out[m] = v
-        r = MultiPoly(nvars=self.nvars)
-        r.terms = out
-        return r
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        return self._binop(other, 1)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self._binop(other, -1)
-
-    def __neg__(self) -> "MultiPoly":
-        return self.scale(-1)
-
-    def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        r = MultiPoly(nvars=self.nvars)
-        if c != 0:
-            r.terms = {m: v * c for m, v in self.terms.items()}
-        return r
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("arity mismatch")
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                v = out.get(m, Fraction(0)) + c1 * c2
-                if v == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = v
-        r = MultiPoly(nvars=self.nvars)
-        r.terms = out
-        return r
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MultiPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def leading_monomial(self, order: VarOrder) -> Monomial:
-        """Largest monomial under the graded-lex order."""
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no leading monomial")
-        best = None
-        for m in self.terms:
-            if best is None or grlex_compare(m, best, order) > 0:
-                best = m
-        return best
-
-    def evaluate(self, point) -> Fraction:
-        """Exact evaluation at a tuple of rationals (test helper)."""
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            v = c
-            for x, e in zip(point, m):
-                if e:
-                    v *= Fraction(x) ** e
-            total += v
-        return total
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "MultiPoly(0)"
-        parts = []
-        for m in sorted(self.terms, reverse=True):
-            c = self.terms[m]
-            vars_txt = "*".join(
-                f"y{i+1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(m)
-                if e
-            )
-            parts.append(f"{c}" + (f"*{vars_txt}" if vars_txt else ""))
-        return "MultiPoly(" + " + ".join(parts) + ")"
-
-
-def _pure_power(var: int, k: int, nvars: int = NVARS) -> Monomial:
+def pure_power(var: int, k: int, nvars: int = NVARS) -> Monomial:
+    """The exponent tuple of y_var^k; ``var`` is 1-based."""
     e = [0] * nvars
     e[var - 1] = k
     return tuple(e)
@@ -218,10 +85,10 @@ def verify_lm_claims(aux, pair) -> bool:
     """
     r1, r2 = pair.r1, pair.r2
     expected = [
-        (aux.R1, _pure_power(4, r1)),
-        (aux.R2, _pure_power(8, r1)),
-        (aux.R3, _pure_power(6, r2)),
-        (aux.R4, _pure_power(7, r2)),
+        (aux.R1, pure_power(4, r1)),
+        (aux.R2, pure_power(8, r1)),
+        (aux.R3, pure_power(6, r2)),
+        (aux.R4, pure_power(7, r2)),
     ]
     return all(g.leading_monomial(AUX_ORDER) == m for g, m in expected)
 

@@ -30,7 +30,7 @@ from ffprog.cli import (
 from ffprog.counting import count_progressions
 from ffprog.errors import FFProgError, WorkBudgetExceeded
 from ffprog.field import field_new
-from ffprog.polys import normalize_pair, parse_pair
+from ffprog.polys import MAX_DEGREE, normalize_pair, parse_pair
 from ffprog.setfun import random_subset
 from ffprog import cli, variety
 from ffprog.variety import FiberDistribution, enumerate_fibers, growth_report
@@ -1226,6 +1226,45 @@ def test_normalize_equal_lead_replacement(tmp_path):
     # the substitution P1 - P2, -P2 drops the first degree below the second
     assert doc["p1"] == "-y"
     assert (doc["r1"], doc["r2"]) == (1, 2)
+
+
+@pytest.mark.parametrize("source", ["pair", "poly", "config"])
+@pytest.mark.parametrize(
+    "first, second, term", [("y", "1/0*y^2", "1/0*y^2"), ("[0,1]", "[0,1/0]", "1/0")],
+    ids=["sparse", "dense"],
+)
+def test_zero_denominator_exits_config_with_one_error_line(tmp_path, capsys, source, first, second, term):
+    if source == "poly":
+        argv = ["expander", "--poly", second, "--primes", "7"]
+    elif source == "pair":
+        argv = ["normalize", "--pair", f"{first},{second}"]
+    else:
+        conf = tmp_path / "conf.txt"
+        conf.write_text(f"pair = {first},{second}\n")
+        argv = ["normalize", "--config", str(conf)]
+    assert main(argv) == EXIT_CONFIG
+    cap = capsys.readouterr()
+    assert (cap.out, cap.err) == ("", f"error: zero denominator in term {term!r}\n")
+
+
+def test_huge_exponent_exits_config_without_hanging():
+    # the exponent is refused from its text; building range(10^22 + 1) never ends
+    done = run_cli("normalize", "--pair", "y,y^99999999999999999999999")
+    assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+    assert done.stderr == (
+        "error: degree of term 'y^99999999999999999999999' exceeds the cap of "
+        f"{MAX_DEGREE}\n"
+    )
+
+
+def test_normalize_at_the_degree_cap_finishes(tmp_path):
+    # independence is one pass over the coefficients, not every 2x2 minor
+    out = tmp_path / "n.json"
+    start = time.perf_counter()
+    assert main(["normalize", "--pair", f"y^{MAX_DEGREE - 1},y^{MAX_DEGREE}", "--out", str(out)]) == EXIT_OK
+    assert time.perf_counter() - start < 30
+    doc = json.loads(out.read_text())
+    assert (doc["r1"], doc["r2"], doc["min_char"]) == (MAX_DEGREE - 1, MAX_DEGREE, MAX_DEGREE + 1)
 
 
 def test_certify_all_pass(tmp_path):

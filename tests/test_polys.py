@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffprog import (
     CharTooSmall,
@@ -15,6 +17,7 @@ from ffprog import (
     parse_poly,
     qprime_alternating_form,
 )
+from ffprog.polys import MAX_DEGREE
 
 
 def test_parse_sparse_forms():
@@ -78,6 +81,48 @@ def test_check_admissible():
     # rational multiples are dependent too
     ok, diag = check_admissible(parse_poly("y^2+y"), parse_poly("1/3*y^2+1/3*y"))
     assert not ok and diag is Diagnosis.LINEARLY_DEPENDENT
+
+
+def all_minors_independent(p1, p2):
+    """The rule check_admissible used before its one-pass form: some 2x2
+    minor of the two coefficient rows is nonzero.  O(n^2); kept as the oracle."""
+    n = max(len(p1.coeffs), len(p2.coeffs))
+    u = [p1.coeffs[i] if i < len(p1.coeffs) else Fraction(0) for i in range(n)]
+    v = [p2.coeffs[i] if i < len(p2.coeffs) else Fraction(0) for i in range(n)]
+    return any(u[i] * v[j] != u[j] * v[i] for i in range(n) for j in range(i + 1, n))
+
+
+coeff_rows = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2)]), max_size=7)
+
+
+@given(coeff_rows, coeff_rows, st.sampled_from([None, 1, -2, Fraction(1, 3)]))
+@settings(max_examples=400, deadline=None)
+def test_one_pass_independence_matches_all_minors(a, b, scale):
+    # scale draws the second row as a multiple of the first, so dependent
+    # pairs are common rather than rare
+    if scale is not None:
+        b = [scale * c for c in a]
+    p1, p2 = IntPoly.from_coeffs([0, *a]), IntPoly.from_coeffs([0, *b])
+    ok, diag = check_admissible(p1, p2)
+    if p1.is_zero or p2.is_zero:
+        assert diag is Diagnosis.ZERO_POLYNOMIAL
+    else:
+        assert ok == all_minors_independent(p1, p2)
+        assert diag is (None if ok else Diagnosis.LINEARLY_DEPENDENT)
+
+
+def test_degree_cap_is_checked_before_any_coefficient_list():
+    assert parse_poly(f"y^{MAX_DEGREE}").degree == MAX_DEGREE
+    assert parse_poly("y^0000000000000000000000002") == parse_poly("y^2")
+    assert parse_poly("[" + ",".join(["0"] * (MAX_DEGREE + 1)) + "]").is_zero
+    for bad in (
+        f"y^{MAX_DEGREE + 1}",
+        "y^99999999999999999999999",
+        "y^" + "9" * 5000,
+        "[" + ",".join(["0"] * (MAX_DEGREE + 2)) + "]",
+    ):
+        with pytest.raises(ValueError, match=f"cap of {MAX_DEGREE}"):
+            parse_poly(bad)
 
 
 def test_normalize_swap_records():
