@@ -77,30 +77,46 @@ def field_new(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-def reduce_coeffs(poly, field: PrimeField) -> list[int]:
-    """Reduce every coefficient of a rational polynomial mod p.
+def pow_mod(xs: np.ndarray, k: int, p: int) -> np.ndarray:
+    """xs**k mod p elementwise, by repeated squaring, for int64 residues xs;
+    the result may be xs itself.
 
-    ``poly`` is anything with a ``coeffs`` tuple of Fractions (index =
-    degree).  Raises BadCharacteristic if p divides any denominator, even
-    one in a coefficient that would not matter for a particular evaluation.
+    Each step multiplies two residues below p < 2**31, so every int64
+    product stays below p**2 < 2**62.
     """
-    return [field.reduce_fraction(Fraction(c)) for c in poly.coeffs]
+    out = None
+    while k:
+        if k & 1:
+            out = xs if out is None else out * xs % p
+        k >>= 1
+        if k:
+            xs = xs * xs % p
+    return np.ones_like(xs) if out is None else out
 
 
 @functools.lru_cache(maxsize=4)
 def value_table(poly, field: PrimeField) -> np.ndarray:
     """P(x) mod p for every residue x, as a read-only int64 array of length p.
 
-    This is the workhorse behind counting and enumeration; intermediates
-    stay below 2**62 because p < 2**31.  The last four tables are memoised
+    This is the workhorse behind counting and enumeration.  Horner's rule
+    runs over the polynomial's nonzero ``terms``, from the top down, and
+    steps from one exponent to the next by x^gap, which repeated squaring
+    builds: a table costs O(terms * log deg * p) int64 work, so y^99999
+    takes 17 squarings, not 99999 Horner steps.  Every product is of two
+    residues below p < 2**31, and adding one residue to it keeps it below
+    p**2 < 2**62, so int64 never overflows.  Raises BadCharacteristic if p
+    divides a coefficient's denominator.  The last four tables are memoised
     on (poly, field): verify asks for P1's and P2's table in every check of
     every instance at one prime, and four tables of length p bound the
     memory the cache holds.
     """
-    coeffs = reduce_coeffs(poly, field)
-    xs = np.arange(field.p, dtype=np.int64)
-    acc = np.zeros(field.p, dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = (acc * xs + c) % field.p
+    p = field.p
+    xs = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
+    higher = poly.terms[-1][0] if poly.terms else 0
+    for k, c in reversed(poly.terms):
+        acc = (acc * pow_mod(xs, higher - k, p) + field.reduce_fraction(c)) % p
+        higher = k
+    acc = acc * pow_mod(xs, higher, p) % p
     acc.flags.writeable = False
     return acc

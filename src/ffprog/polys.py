@@ -22,7 +22,8 @@ The eight-variable auxiliary system is held as MultiPoly values: each of its
 polynomials is a sum of univariate parts, sum over v of P_v(y_v), so the
 algebra it needs is IntPoly's, part by part.
 
-Parsing caps the degree at MAX_DEGREE before any coefficient list is built.
+Parsing caps the degree at MAX_DEGREE, from the exponent's text and from a
+dense list's length, before either is read.
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ from .errors import CharTooSmall, Inadmissible, ZeroPolynomial
 from .symbolic import NVARS, VarOrder, grlex_compare, pure_power
 
 # Largest degree parse_poly accepts, like cli.MAX_PRIME_RANGE a fail-fast
-# cap: `normalize --pair y^99999,y^100000` takes 1.3 s and 60 MB (one
-# process, 2-core VM), while an uncapped y^(10^22) would ask for a
-# coefficient list of that length.
+# cap.  A term costs the same at any degree, but the dense "[...]" form
+# holds one entry per degree, and a pair is usable only at p > its degree
+# (min_char), where every value table holds p int64 entries.  It is checked
+# on the exponent's text, since int() refuses a string over 4300 digits with
+# a message that does not name the term, and on a list's length.
 MAX_DEGREE = 10**5
 
 
@@ -54,18 +57,26 @@ class Diagnosis(enum.Enum):
 class IntPoly:
     """A univariate polynomial with exact rational coefficients.
 
-    ``coeffs[k]`` is the coefficient of y^k; trailing zeros are stripped so
-    the zero polynomial has an empty tuple.
+    ``terms`` holds the nonzero terms as (k, c) pairs, c the Fraction
+    coefficient of y^k, in increasing k; the zero polynomial has an empty
+    tuple.  Each term costs the same at any degree, so a sparse pair such as
+    (y, y^99999) is two terms, not 100000 coefficients.
     """
 
-    coeffs: tuple
+    terms: tuple
+
+    @classmethod
+    def from_terms(cls, pairs) -> "IntPoly":
+        """Sum (k, c) pairs in any order and drop the zero sums."""
+        sums: dict[int, Fraction] = {}
+        for k, c in pairs:
+            sums[k] = sums.get(k, 0) + Fraction(c)
+        return cls(tuple((k, sums[k]) for k in sorted(sums) if sums[k]))
 
     @classmethod
     def from_coeffs(cls, seq) -> "IntPoly":
-        cs = [Fraction(c) for c in seq]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
+        """The polynomial whose coefficient of y^k is ``seq[k]``."""
+        return cls.from_terms(enumerate(seq))
 
     @classmethod
     def zero(cls) -> "IntPoly":
@@ -73,79 +84,61 @@ class IntPoly:
 
     @classmethod
     def monomial(cls, k: int, c=1) -> "IntPoly":
-        if Fraction(c) == 0:
-            return cls.zero()
-        return cls.from_coeffs([0] * k + [c])
+        return cls.from_terms([(k, c)])
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     @property
     def degree(self):
         """Degree, with -inf as the zero-polynomial sentinel."""
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
+        return self.terms[-1][0] if self.terms else float("-inf")
 
     @property
     def constant_term(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.terms[0][1] if self.terms and self.terms[0][0] == 0 else Fraction(0)
 
     @property
     def leading_coeff(self) -> Fraction:
-        if not self.coeffs:
+        if not self.terms:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.terms[-1][1]
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly.from_coeffs(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            ]
-        )
+        return IntPoly.from_terms(self.terms + other.terms)
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         return self + (-other)
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
+        return IntPoly(tuple((k, -c) for k, c in self.terms))
 
     def scale(self, c) -> "IntPoly":
         c = Fraction(c)
         if c == 0:
             return IntPoly.zero()
-        return IntPoly(tuple(v * c for v in self.coeffs))
+        return IntPoly(tuple((k, v * c) for k, v in self.terms))
 
     def evalq(self, x) -> Fraction:
         """Exact evaluation over the rationals."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * Fraction(x) + c
-        return acc
+        x = Fraction(x)
+        return sum((c * x**k for k, c in self.terms), Fraction(0))
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
+        out = []
+        for k, c in reversed(self.terms):
             mag = abs(c)
             if k == 0:
                 body = f"{mag}"
             else:
                 y = "y" if k == 1 else f"y^{k}"
                 body = y if mag == 1 else f"{mag}*{y}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+            if out:
+                out.append(f" {'-' if c < 0 else '+'} {body}")
+            else:
+                out.append(f"-{body}" if c < 0 else body)
+        return "".join(out) or "0"
 
 
 @dataclass(frozen=True)
@@ -165,7 +158,7 @@ class MultiPoly:
         head, *rest = self.parts
         if any(q.constant_term for q in rest):
             head += IntPoly.monomial(0, sum(q.constant_term for q in rest))
-            rest = [IntPoly.from_coeffs((0,) + q.coeffs[1:]) for q in rest]
+            rest = [IntPoly(tuple((k, c) for k, c in q.terms if k)) for q in rest]
         object.__setattr__(self, "parts", (head, *rest))
 
     @classmethod
@@ -196,8 +189,7 @@ class MultiPoly:
         return {
             pure_power(v + 1, k, self.nvars): c
             for v, q in enumerate(self.parts)
-            for k, c in enumerate(q.coeffs)
-            if c
+            for k, c in q.terms
         }
 
     def total_degree(self) -> int:
@@ -280,7 +272,7 @@ def parse_poly(text: str) -> IntPoly:
     terms = re.findall(r"[+-]?[^+-]+", s)
     if "".join(terms) != s:
         raise ValueError(f"cannot parse polynomial: {text!r}")
-    coeffs: dict[int, Fraction] = {}
+    pairs = []
     for term in terms:
         m = _TERM_RE.match(term)
         if not m or (m.group(2) is None and m.group(3) is None):
@@ -293,11 +285,8 @@ def parse_poly(text: str) -> IntPoly:
             k = _check_degree(m.group(4), term)
         else:
             k = 1
-        coeffs[k] = coeffs.get(k, Fraction(0)) + sign * coeff
-    if not coeffs:
-        return IntPoly.zero()
-    top = max(coeffs)
-    return IntPoly.from_coeffs([coeffs.get(k, Fraction(0)) for k in range(top + 1)])
+        pairs.append((k, sign * coeff))
+    return IntPoly.from_terms(pairs)
 
 
 def parse_pair(text: str) -> tuple[IntPoly, IntPoly]:
@@ -320,12 +309,12 @@ def check_admissible(p1: IntPoly, p2: IntPoly):
     if p1.constant_term != 0 or p2.constant_term != 0:
         return False, Diagnosis.ZERO_CONSTANT_VIOLATED
     # Two nonzero rows are dependent iff every column is a multiple of the
-    # first nonzero column (u_k, v_k), so one pass over the minors at k decides.
-    n = max(len(p1.coeffs), len(p2.coeffs))
-    u = p1.coeffs + (Fraction(0),) * (n - len(p1.coeffs))
-    v = p2.coeffs + (Fraction(0),) * (n - len(p2.coeffs))
-    k = next(i for i in range(n) if u[i] or v[i])
-    if any(u[k] * v[j] != u[j] * v[k] for j in range(k + 1, n)):
+    # first nonzero column (u_k, v_k), so one pass over the minors at k
+    # decides; a column outside both polynomials' exponents is (0, 0).
+    u, v = dict(p1.terms), dict(p2.terms)
+    k, *rest = sorted(u.keys() | v.keys())
+    uk, vk = u.get(k, 0), v.get(k, 0)
+    if any(uk * v.get(j, 0) != u.get(j, 0) * vk for j in rest):
         return True, None
     return False, Diagnosis.LINEARLY_DEPENDENT
 
@@ -374,10 +363,9 @@ class NormalizedPair:
 
 
 def _coeff_magnitudes(poly: IntPoly):
-    for c in poly.coeffs:
-        if c != 0:
-            yield abs(c.numerator)
-            yield c.denominator
+    for _, c in poly.terms:
+        yield abs(c.numerator)
+        yield c.denominator
 
 
 def normalize_pair(p1: IntPoly, p2: IntPoly) -> NormalizedPair:
@@ -399,7 +387,7 @@ def normalize_pair(p1: IntPoly, p2: IntPoly) -> NormalizedPair:
     p2prime = p2 - p1
     lead_a = p1.leading_coeff
     lead_b = p2.leading_coeff
-    lead_c = p2prime.coeffs[r2]
+    lead_c = p2prime.leading_coeff  # deg P2' = r2: equal degrees have distinct leads
 
     p3 = None
     r3 = None

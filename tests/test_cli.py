@@ -941,14 +941,14 @@ def test_cache_dir_name_too_long_fails_before_work(tmp_path, capsys, monkeypatch
     assert os.listdir(tmp_path) == []
 
 
-def run_cli(*argv, stdout=subprocess.PIPE):
+def run_cli(*argv, stdout=subprocess.PIPE, timeout=60):
     """ffprog in a fresh process, so that a run that blocks fails on the
     timeout instead of stalling the suite."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
         [sys.executable, "-m", "ffprog.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
-        text=True, env=env, timeout=60,
+        text=True, env=env, timeout=timeout,
     )
 
 
@@ -1258,13 +1258,27 @@ def test_huge_exponent_exits_config_without_hanging():
 
 
 def test_normalize_at_the_degree_cap_finishes(tmp_path):
-    # independence is one pass over the coefficients, not every 2x2 minor
+    # a polynomial is its nonzero terms, and independence is one pass over
+    # their exponents, not every 2x2 minor
     out = tmp_path / "n.json"
     start = time.perf_counter()
     assert main(["normalize", "--pair", f"y^{MAX_DEGREE - 1},y^{MAX_DEGREE}", "--out", str(out)]) == EXIT_OK
-    assert time.perf_counter() - start < 30
+    assert time.perf_counter() - start < 10
     doc = json.loads(out.read_text())
     assert (doc["r1"], doc["r2"], doc["min_char"]) == (MAX_DEGREE - 1, MAX_DEGREE, MAX_DEGREE + 1)
+
+
+def test_sparse_high_degree_count_finishes():
+    # value tables run Horner's rule over the nonzero terms, stepping between
+    # exponents by repeated squaring: y^99999 is 17 squarings, not 99999 steps
+    done = run_cli(
+        "count", "--pair", "y,y^99999", "--primes", "100003", "--sets", "random:0.5:1", timeout=20
+    )
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    (row,) = csv.DictReader(done.stdout.splitlines())
+    assert (row["p"], row["a_size"], row["b_size"], row["c_size"], row["exact_count"]) == (
+        "100003", "50052", "49872", "49986", "1247732205",
+    )
 
 
 def test_certify_all_pass(tmp_path):

@@ -1,16 +1,20 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffprog import (
     BadCharacteristic,
+    IntPoly,
     NotPrime,
     OutOfRange,
     field_new,
     parse_poly,
     value_table,
 )
-from ffprog.field import is_prime
+from ffprog.field import MAX_P, is_prime, pow_mod
 
 
 def test_field_new_accepts_primes():
@@ -95,3 +99,32 @@ def test_value_table_is_memoised_and_read_only():
         value_table(poly, field_new(p))
         value_table(parse_poly("y^3"), field_new(p))
     assert value_table.cache_info().currsize <= 4
+
+
+@given(
+    st.dictionaries(
+        st.integers(0, 20) | st.integers(0, 10**5),
+        st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]),
+        max_size=5,
+    ),
+    st.sampled_from([31, 1009]),
+)
+@settings(max_examples=100, deadline=None)
+def test_value_table_matches_python_pow(terms, p):
+    poly = IntPoly.from_terms(terms.items())
+    f = field_new(p)
+    want = [
+        sum(f.reduce_fraction(c) * pow(x, k, p) for k, c in poly.terms) % p for x in range(p)
+    ]
+    assert value_table(poly, f).tolist() == want
+
+
+@given(
+    st.lists(st.integers(0, MAX_P - 2) | st.integers(MAX_P - 4, MAX_P - 2), min_size=1, max_size=40),
+    st.integers(0, 64) | st.integers(0, 10**9),
+)
+@settings(max_examples=200, deadline=None)
+def test_pow_mod_matches_python_pow_at_the_largest_prime(xs, k):
+    # residues of p = 2^31 - 1 are the largest the int64 products must hold
+    p = MAX_P - 1
+    assert pow_mod(np.array(xs, dtype=np.int64), k, p).tolist() == [pow(x, k, p) for x in xs]

@@ -21,13 +21,9 @@ from ffprog.polys import MAX_DEGREE
 
 
 def test_parse_sparse_forms():
-    assert parse_poly("y^2 + 3*y").coeffs == (Fraction(0), Fraction(3), Fraction(1))
-    assert parse_poly("1/2*y^3 - y").coeffs == (
-        Fraction(0),
-        Fraction(-1),
-        Fraction(0),
-        Fraction(1, 2),
-    )
+    assert parse_poly("y^2 + 3*y") == IntPoly.from_coeffs([0, 3, 1])
+    assert parse_poly("1/2*y^3 - y") == IntPoly.from_coeffs([0, -1, 0, Fraction(1, 2)])
+    assert parse_poly("1/2*y^3 - y").terms == ((1, Fraction(-1)), (3, Fraction(1, 2)))
     assert parse_poly("-y") == IntPoly.from_coeffs([0, -1])
     assert parse_poly("2y^2") == parse_poly("2*y^2")
     assert parse_poly("y - y") == IntPoly.zero()
@@ -83,13 +79,83 @@ def test_check_admissible():
     assert not ok and diag is Diagnosis.LINEARLY_DEPENDENT
 
 
-def all_minors_independent(p1, p2):
+def dense(poly):
+    """The coefficient list of an IntPoly, index = degree."""
+    out = [Fraction(0)] * (poly.degree + 1 if poly.terms else 0)
+    for k, c in poly.terms:
+        out[k] = c
+    return out
+
+
+def all_minors_independent(u, v):
     """The rule check_admissible used before its one-pass form: some 2x2
     minor of the two coefficient rows is nonzero.  O(n^2); kept as the oracle."""
-    n = max(len(p1.coeffs), len(p2.coeffs))
-    u = [p1.coeffs[i] if i < len(p1.coeffs) else Fraction(0) for i in range(n)]
-    v = [p2.coeffs[i] if i < len(p2.coeffs) else Fraction(0) for i in range(n)]
+    n = max(len(u), len(v))
+    u, v = [*u, *[0] * (n - len(u))], [*v, *[0] * (n - len(v))]
     return any(u[i] * v[j] != u[j] * v[i] for i in range(n) for j in range(i + 1, n))
+
+
+class DenseRef:
+    """IntPoly as it was held before its terms form: ``coeffs[k]`` is the
+    coefficient of y^k, trailing zeros stripped.  Kept as the oracle."""
+
+    def __init__(self, seq):
+        cs = [Fraction(c) for c in seq]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = cs
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        u = self.coeffs + [0] * (n - len(self.coeffs))
+        v = other.coeffs + [0] * (n - len(other.coeffs))
+        return DenseRef([a + b for a, b in zip(u, v)])
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return DenseRef([v * Fraction(c) for v in self.coeffs])
+
+    def evalq(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * Fraction(x) + c
+        return acc
+
+    def __str__(self):
+        parts = []
+        for k in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[k]
+            if c == 0:
+                continue
+            mag = abs(c)
+            if k == 0:
+                body = f"{mag}"
+            else:
+                y = "y" if k == 1 else f"y^{k}"
+                body = y if mag == 1 else f"{mag}*{y}"
+            parts.append(("-" if c < 0 else "+", body))
+        if not parts:
+            return "0"
+        (sign, body), rest = parts[0], parts[1:]
+        return ("-" if sign == "-" else "") + body + "".join(f" {s} {b}" for s, b in rest)
+
+    def admissible(self, other):
+        if not self.coeffs or not other.coeffs:
+            return False, Diagnosis.ZERO_POLYNOMIAL
+        if self.coeffs[0] or other.coeffs[0]:
+            return False, Diagnosis.ZERO_CONSTANT_VIOLATED
+        if all_minors_independent(self.coeffs, other.coeffs):
+            return True, None
+        return False, Diagnosis.LINEARLY_DEPENDENT
 
 
 coeff_rows = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2)]), max_size=7)
@@ -107,8 +173,44 @@ def test_one_pass_independence_matches_all_minors(a, b, scale):
     if p1.is_zero or p2.is_zero:
         assert diag is Diagnosis.ZERO_POLYNOMIAL
     else:
-        assert ok == all_minors_independent(p1, p2)
+        assert ok == all_minors_independent(dense(p1), dense(p2))
         assert diag is (None if ok else Diagnosis.LINEARLY_DEPENDENT)
+
+
+term_maps = st.dictionaries(
+    st.integers(0, 12) | st.sampled_from([40, 97]),
+    st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]),
+    max_size=6,
+)
+
+
+@given(
+    term_maps,
+    term_maps,
+    st.booleans(),
+    st.sampled_from([0, 1, -2, Fraction(3, 5)]),
+    st.sampled_from([0, 1, -1, 2, Fraction(-1, 3)]),
+)
+@settings(max_examples=400, deadline=None)
+def test_terms_match_the_dense_reference(a, b, same, c, x):
+    # same draws q equal to p, split into pieces, so equal pairs are common
+    p = IntPoly.from_terms(a.items())
+    q = IntPoly.from_terms([*a.items(), (5, 1), (5, -1)]) if same else IntPoly.from_terms(b.items())
+    dp = DenseRef([a.get(k, 0) for k in range(max(a, default=-1) + 1)])
+    dq = dp if same else DenseRef([b.get(k, 0) for k in range(max(b, default=-1) + 1)])
+    for poly, ref in (
+        (p, dp), (q, dq), (p + q, dp + dq), (p - q, dp - dq), (-p, -dp), (p.scale(c), dp.scale(c)),
+    ):
+        assert dense(poly) == ref.coeffs
+        assert str(poly) == str(ref)
+        assert poly.degree == ref.degree
+        assert poly.evalq(x) == ref.evalq(x)
+        assert all(c != 0 for _, c in poly.terms)
+        assert [k for k, _ in poly.terms] == sorted({k for k, _ in poly.terms})
+    assert (p == q) == (dp.coeffs == dq.coeffs)
+    assert p != q or hash(p) == hash(q)
+    assert p == IntPoly.from_coeffs(dp.coeffs) and hash(p) == hash(IntPoly.from_coeffs(dp.coeffs))
+    assert check_admissible(p, q) == dp.admissible(dq)
 
 
 def test_degree_cap_is_checked_before_any_coefficient_list():
@@ -203,7 +305,7 @@ def test_degree_preservation_mod_p():
                 continue
             f = field_new(p)
             for poly, deg in polys:
-                assert f.reduce_fraction(poly.coeffs[deg]) != 0
+                assert f.reduce_fraction(dense(poly)[deg]) != 0
 
 
 def test_require_char_gate():
