@@ -56,6 +56,7 @@ from .fourier import (
 )
 from .variety import (
     FiberDistribution,
+    closed_fibers,
     enumerate_fibers,
     enumerate_fibers_naive,
     enumerate_fibers_reference,

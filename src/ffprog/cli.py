@@ -3,7 +3,7 @@
 Subcommands
 -----------
 count      exact progression counts over a prime sweep
-variety    fiber enumeration + growth report (writes cacheable fiber files)
+variety    fiber histograms + growth report (writes cacheable fiber files)
 charsum    normalized character sums over the fibers, full vector per prime
 verify     run the invariant checks and print a pass/fail table
 expander   image sizes of u + P(v - u) on A x B
@@ -66,6 +66,7 @@ from .variety import (
     GrowthRow,
     SCHEMA_VERSION,
     admit,
+    fiber_builder,
     growth_report,
     v_bounds,
 )
@@ -178,7 +179,10 @@ FLAGS = {
     "format": dict(choices=("json", "csv"), help="report format"),
     "config": dict(help="flat key=value config file; flags win"),
     "cache_dir": dict(help="fiber file cache directory"),
-    "oracle": dict(choices=sorted(ENUMERATORS), help="enumerator to use"),
+    "oracle": dict(
+        choices=sorted(ENUMERATORS),
+        help="enumerator to use (default: the closed form for degrees (1, 2), else fast)",
+    ),
     "only": dict(type=parse_checks, help="comma list of checks to run"),
     "rmax": dict(
         type=at_least(1, "rmax", MAX_CERT_DEGREE),
@@ -197,7 +201,7 @@ COMMAND_FLAGS = {
     ),
     "variety": dict(
         pair=REQUIRED, primes="7,11,13", budget=DEFAULT_BUDGET, cache_dir="ffprog-cache",
-        workers=1, oracle="fast", format="csv", out=None,
+        workers=1, oracle=None, format="csv", out=None,
     ),
     "charsum": dict(
         pair=REQUIRED, primes="7,11,13", budget=DEFAULT_BUDGET, cache_dir="ffprog-cache",
@@ -301,29 +305,30 @@ def cached_fibers(cache_dir: str, pair, p: int, strict_cache: bool):
         return exc if strict_cache else None
 
 
-def get_fibers(pair, p: int, budget: int, cache_dir: str, oracle: str, cached):
+def get_fibers(pair, p: int, budget: int, cache_dir: str, oracle: str | None, cached):
     """The fibers of one (pair, p), the last step of warm_fibers' one pass
     (characteristic gate, one read per cached file, budget gate, write probe,
     build): the pre-pass result cached when there is one, else a fresh
-    enumeration, saved to the cache."""
+    build by fiber_builder(pair, oracle), saved to the cache."""
     if cached is not None:
         return cached
-    dist = ENUMERATORS[oracle](pair, field_new(p), budget=budget)
+    dist = fiber_builder(pair, oracle)[1](pair, field_new(p), budget=budget)
     path = fiber_path(cache_dir, pair, p)
     with _fs_errors(f"write fiber file {path!r}"):
         dist.save(path)
     return dist
 
 
-def warm_fibers(pairs, primes, budget, cache_dir, oracle="fast", strict_cache=False):
-    """get_fibers for every (pair, p), keyed by (pair.key(), p).  Every job is
-    decided before any enumeration, in this order: the characteristic gate on
-    all of them; one read of each cached file (cached_fibers, so with
-    strict_cache a corrupt file yields its CorruptFiberFile as the value);
-    then, for the jobs that must be built only, the budget gate and a write
-    probe of their fiber files, which first makes the cache directory; then
-    the builds, one after another in sweep order, so a failed build stops
-    the sweep before the next one starts."""
+def warm_fibers(pairs, primes, budget, cache_dir, oracle=None, strict_cache=False):
+    """get_fibers for every (pair, p), keyed by (pair.key(), p), each built
+    by fiber_builder(pair, oracle).  Every job is decided before any build,
+    in this order: the characteristic gate on all of them; one read of each
+    cached file (cached_fibers, so with strict_cache a corrupt file yields
+    its CorruptFiberFile as the value); then, for the jobs that must be
+    built only, the budget gate and a write probe of their fiber files,
+    which first makes the cache directory; then the builds, one after
+    another in sweep order, so a failed build stops the sweep before the
+    next one starts."""
     jobs = [(pair, p) for pair in pairs for p in primes]
     fields = {p: field_new(p) for p in primes}
     for pair, p in jobs:
@@ -331,7 +336,7 @@ def warm_fibers(pairs, primes, budget, cache_dir, oracle="fast", strict_cache=Fa
     cached = [cached_fibers(cache_dir, pair, p, strict_cache) for pair, p in jobs]
     build = [job for job, hit in zip(jobs, cached) if hit is None]
     for pair, p in build:
-        admit(pair, fields[p], budget, oracle)
+        admit(pair, fields[p], budget, fiber_builder(pair, oracle)[0])
     for pair, p in build:
         path = fiber_path(cache_dir, pair, p)
         with _fs_errors(f"write fiber file {path!r}"):

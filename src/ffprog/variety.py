@@ -74,6 +74,12 @@ dependent slots y4, y6, y7, y8 through the per-value root lists of
 _csr_preimages, the one preimage layout the fast path also reads (the
 transparent reference), and a flat scan of all p^8 tuples (the naive
 oracle, which its budget gate charges p^8 steps).
+
+A pair whose normalized degrees are (1, 2), such as x, x + y, x + y^2,
+needs no enumeration: its histogram has a closed form, proven in the
+docstring of closed_fibers, which builds it in O(p).  fiber_builder picks
+the closed form for such a pair unless an enumerator is named, and the
+named enumerator otherwise.
 """
 
 from __future__ import annotations
@@ -220,8 +226,11 @@ def _canonical(doc) -> str:
 
 
 def work_estimate(pair: NormalizedPair, p: int, oracle: str = "fast") -> int:
-    """Elementary-step estimate that the budget gate charges ENUMERATORS[oracle]:
-    p^8 for naive8, r1 * r2 * p^4 for fast and loop."""
+    """Elementary-step estimate that the budget gate charges the builder
+    named oracle (see fiber_builder): p for "closed", the closed form of a
+    degree-(1, 2) pair; p^8 for naive8; r1 * r2 * p^4 for fast and loop."""
+    if oracle == "closed":
+        return p
     return p**8 if oracle == "naive8" else pair.r1 * pair.r2 * p**4
 
 
@@ -232,9 +241,11 @@ def v_bounds(pair: NormalizedPair, p: int) -> tuple[int, int]:
 
 
 def admit(pair: NormalizedPair, field: PrimeField, budget: int, oracle: str) -> None:
-    """The gate of ENUMERATORS[oracle]: CharTooSmall below the pair's
-    characteristic, WorkBudgetExceeded when the work estimate passes budget
-    or the |V| bound reaches INT64_LIMIT."""
+    """The gate of the builder named oracle (see fiber_builder): CharTooSmall
+    below the pair's characteristic, WorkBudgetExceeded when the work
+    estimate passes budget or the |V| bound reaches INT64_LIMIT.  The bound
+    holds for the closed form too, whose counts are int64 as well: for
+    degree (1, 2) it is 4 p^4, below 2**63 up to p = 38959."""
     pair.require_char(field)
     est = work_estimate(pair, field.p, oracle)
     if est > budget:
@@ -463,6 +474,104 @@ ENUMERATORS = {
     "loop": enumerate_fibers_reference,
     "naive8": enumerate_fibers_naive,
 }
+
+
+def closed_fibers(
+    pair: NormalizedPair,
+    field: PrimeField,
+    budget: int = DEFAULT_BUDGET,
+) -> FiberDistribution:
+    """Exact Q-fiber histogram of a pair whose normalized degrees are (1, 2),
+    from its closed form, in O(p):
+
+        c[0] = 4p^3 - 4p^2 + 2p - 1,    c[alpha] = p^3 - p - 1 for alpha != 0,
+
+    so |V| = p^4 + 3p^3 - 5p^2 + 2p.  The gate charges p steps and keeps the
+    int64 bound on |V| (admit).
+
+    Proof.  After normalization P1 = a*y and P2 = b*y^2 + c*y, so
+    P2' = b*y^2 + (c - a)*y.  require_char leaves a and b units mod p,
+    since min_char exceeds every numerator and denominator, and p odd, since
+    min_char > r2 = 2.  Write e(x) = exp(2 pi i x / p), and [X] for 1 if X
+    holds and 0 otherwise.
+
+    Since a is a unit, R1 = 0 and R2 = 0 say y2 - y1 = y4 - y3 = s and
+    y6 - y5 = y8 - y7 = s', so (y1, y3, y5, y7, s, s') in F_p^6 runs over
+    their solutions one to one.  With D(y, s) = P2(y + s) - P2(y)
+    = 2bsy + bs^2 + cs,
+
+        R3 = D(y5, s') - D(y1, s),    Q = D(y7, s') - D(y3, s),
+
+    and R4 is unchanged.  Detecting R3 = 0, R4 = 0 and Q = alpha by
+    (1/p) sum_t e(t x) = [x = 0] with t = lambda, mu, nu,
+
+        c[alpha] = p^-3 sum over (lambda, mu, nu) of e(-nu alpha) S(lambda, mu, nu),
+        S = sum over (y1, y3, y5, y7, s, s') of e(lambda R3 + mu R4 + nu Q).
+
+    For fixed (s, s') the phase is a sum of one polynomial in each of y1,
+    y3, y5, y7, so S is a sum over (s, s') of a product of four y-sums.
+
+    Case mu = 0.  Every y-sum has a linear phase.  The y1-sum is
+    p e(-lambda(bs^2 + cs)) if lambda s = 0 and 0 otherwise, as 2b is a
+    unit, and lambda s = 0 makes that constant vanish.  Likewise the y3, y5
+    and y7 sums are p when nu s, lambda s' and nu s' vanish, and 0
+    otherwise.  So S = p^6 at lambda = nu = 0, where every (s, s') counts,
+    and S = p^4 otherwise, where only s = s' = 0 does.
+
+    Case mu != 0.  Every y-sum is a Gauss sum.  For A != 0 and p odd,
+    completing the square gives sum_y e(Ay^2 + By + C) = e(C - B^2/(4A)) G(A)
+    with G(A) = sum_y e(Ay^2) = (A/p) g, where (A/p) is the Legendre symbol,
+    g = G(1) and g^2 = (-1/p) p.  The (A, B, C) of the four sums are
+
+        y1: ( mu b,  mu(c - a) - 2 lambda b s,   -lambda (bs^2 + cs))
+        y3: (-mu b, -mu(c - a) - 2 nu b s,       -nu (bs^2 + cs))
+        y5: (-mu b,  2 lambda b s' - mu(c - a),   lambda (bs'^2 + cs'))
+        y7: ( mu b,  2 nu b s' + mu(c - a),       nu (bs'^2 + cs'))
+
+    so the four G factors multiply to g^4 = p^2, and the four phases
+    C - B^2/(4A) add up to
+
+        (s - s')(lambda + nu)(-a + b(s + s')(nu - lambda - mu)/mu).
+
+    Put u = s - s' and v = s + s', a change of variables since 2 is a unit,
+    k = lambda + nu and m = b(nu - lambda - mu)/mu.  The phase is
+    k u (-a + m v), and its sum over (u, v) is p^2 if k = 0; p if k != 0
+    and m != 0, where the v-sum leaves only u = 0; and 0 if k != 0 and
+    m = 0, where the u-sum of e(-a k u) vanishes.  So S = p^4 if
+    lambda + nu = 0, S = p^3 if lambda + nu != 0 and nu - lambda != mu, and
+    S = 0 otherwise.
+
+    Summing, with sum over nu of e(-nu alpha) = p [alpha = 0]:
+      * mu = 0 gives p^6 + p^4 (p^2 [alpha = 0] - 1);
+      * mu != 0 and lambda + nu = 0 give (p - 1) p^4 p [alpha = 0];
+      * mu != 0, lambda + nu != 0 and nu - lambda != mu: a pair
+        (lambda, nu) with lambda + nu != 0 meets p - 2 such mu if
+        nu != lambda and p - 1 if nu = lambda (then nu != 0), so they give
+        p^3 ((p - 2)(p^2 - p) [alpha = 0] + p [alpha = 0] - 1).
+    Divided by p^3, the terms without [alpha = 0] give p^3 - p - 1 for
+    every alpha, and those with it add p^3 + (p - 1) p^2 + (p - 2)(p^2 - p)
+    + p = 3p^3 - 4p^2 + 3p at alpha = 0.  Neither depends on a, b or c.
+    """
+    if (pair.r1, pair.r2) != (1, 2):
+        raise ValueError(
+            f"the closed form needs normalized degrees (1, 2), not ({pair.r1}, {pair.r2})"
+        )
+    admit(pair, field, budget, "closed")
+    p = field.p
+    c = np.full(p, p**3 - p - 1, dtype=np.int64)
+    c[0] = 4 * p**3 - 4 * p**2 + 2 * p - 1
+    return FiberDistribution.from_histogram(field, pair, c)
+
+
+def fiber_builder(pair: NormalizedPair, oracle: str | None = None):
+    """The name and the function that build pair's fibers: ("closed",
+    closed_fibers) for a pair whose normalized degrees are (1, 2) when no
+    oracle is named, else the named enumerator of ENUMERATORS, fast by
+    default.  The name is what admit charges."""
+    if oracle is None and (pair.r1, pair.r2) == (1, 2):
+        return "closed", closed_fibers
+    name = oracle or "fast"
+    return name, ENUMERATORS[name]
 
 
 class GrowthRow(NamedTuple):

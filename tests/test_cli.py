@@ -195,29 +195,48 @@ def test_budget_exceeded_exit(tmp_path):
     assert rc == EXIT_BUDGET
 
 
-OVER_SWEEP = ["--budget", str(10**10)]  # 257 and 263 fit it; 269 and 271 do not
+# fast charges y,y^2 2 p^4 steps: 257 and 263 fit OVER_SWEEP; 269 and 271 do not
+OVER_SWEEP = ["--budget", str(10**10)]
 AT_269 = "estimated 10472228642 steps for p = 269"
+# charsum and verify name no enumerator, so they take y,y^2 from its closed
+# form; y,y^3 (3 p^4 steps) still enumerates: 257 and 263 fit, 269 does not
+CUBIC_OVER_SWEEP = ["--pair", "y,y^3", "--budget", str(15 * 10**9)]
+CUBIC_AT_269 = "estimated 15708342963 steps for p = 269"
 
 
 @pytest.mark.parametrize(
     "argv, err",
     [
-        (["variety", "--primes", "257,263,269,271", *OVER_SWEEP, "--workers", "1"], AT_269),
-        (["charsum", "--primes", "257,269", *OVER_SWEEP], AT_269),
-        (["verify", "--primes", "257,269", "--only", "sandwich", *OVER_SWEEP], AT_269),
+        (["variety", "--pair", "y,y^2", "--primes", "257,263,269,271", *OVER_SWEEP,
+          "--oracle", "fast", "--workers", "1"], AT_269),
+        (["charsum", "--primes", "257,269", *CUBIC_OVER_SWEEP], CUBIC_AT_269),
+        (["verify", "--primes", "257,269", "--only", "sandwich", *CUBIC_OVER_SWEEP], CUBIC_AT_269),
         # naive8 is charged 5^8 = 390625 at p = 5 and 7^8 at p = 7
-        (["variety", "--oracle", "naive8", "--primes", "5,7", "--budget", "390625"],
-         "estimated 5764801 steps for p = 7"),
+        (["variety", "--pair", "y,y^2", "--oracle", "naive8", "--primes", "5,7",
+          "--budget", "390625"], "estimated 5764801 steps for p = 7"),
     ],
     ids=["variety", "charsum", "verify", "naive8"],
 )
 def test_sweep_over_budget_exits_before_any_enumeration(tmp_path, capsys, argv, err):
     cache = tmp_path / "cache"
-    assert main([*argv, "--pair", "y,y^2", "--cache-dir", str(cache)]) == EXIT_BUDGET
+    assert main([*argv, "--cache-dir", str(cache)]) == EXIT_BUDGET
     cap = capsys.readouterr()
     assert cap.out == ""
     assert cap.err.startswith(f"error: {err} exceeds budget")
     assert not cache.exists()  # not one fiber file of the primes that fit
+
+
+def test_degree_one_two_sweep_takes_the_closed_form_past_the_budget(tmp_path, capsys):
+    # the closed form is charged p steps, so the sweep that exits 4 above
+    # under --oracle fast finishes, with |V| from the formula at every prime
+    primes = [257, 263, 269, 271]
+    cache = tmp_path / "cache"
+    args = ["variety", "--pair", "y,y^2", "--primes", ",".join(map(str, primes)), *OVER_SWEEP]
+    assert main([*args, "--cache-dir", str(cache)]) == EXIT_OK
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [int(r["p"]) for r in rows] == primes
+    assert [int(r["v_size"]) for r in rows] == [p**4 + 3 * p**3 - 5 * p**2 + 2 * p for p in primes]
+    assert len(os.listdir(cache)) == len(primes)
 
 
 def test_unknown_subcommand_is_config_error(capsys):
@@ -444,7 +463,7 @@ def test_naive8_budget_exceeded_exit(tmp_path, capsys):
     rc = main([*args, "--oracle", "naive8", "--cache-dir", str(tmp_path / "a")])
     assert rc == EXIT_BUDGET
     assert "estimated 390625 steps for p = 5 exceeds budget 390624" in capsys.readouterr().err
-    assert main([*args, "--cache-dir", str(tmp_path / "b")]) == EXIT_OK
+    assert main([*args, "--oracle", "fast", "--cache-dir", str(tmp_path / "b")]) == EXIT_OK
 
 
 def test_failed_report_write_keeps_old_report(tmp_path):
@@ -695,7 +714,8 @@ def test_verify_cache_file_of_other_prime_fails_rows(tmp_path, capsys):
 def test_variety_past_exactness_limit_exits_budget(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(variety, "EXACT_LIMIT", 7**4)
     rc = main(
-        ["variety", "--pair", "y,y^2", "--primes", "7", "--cache-dir", str(tmp_path)]
+        ["variety", "--pair", "y,y^2", "--primes", "7", "--oracle", "fast",
+         "--cache-dir", str(tmp_path)]
     )
     assert rc == EXIT_BUDGET
     assert "exactness limit" in capsys.readouterr().err
@@ -827,7 +847,8 @@ def test_variety_fails_on_an_unwritable_fiber_file_before_enumerating(tmp_path, 
         return enumerate_fibers(pair, field, budget=budget)
 
     monkeypatch.setitem(cli.ENUMERATORS, "fast", enumerator)
-    args = ["variety", "--pair", "y,y^2", "--primes", "7,11", "--cache-dir", str(cache)]
+    args = ["variety", "--pair", "y,y^2", "--primes", "7,11", "--oracle", "fast",
+            "--cache-dir", str(cache)]
     assert main(args) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -856,7 +877,8 @@ def test_a_failed_build_stops_the_sweep_in_order(tmp_path, capsys, monkeypatch, 
         return enumerate_fibers(pair, field, budget=budget)
 
     monkeypatch.setitem(cli.ENUMERATORS, "fast", enumerator)
-    args = ["variety", "--pair", "y,y^2", "--primes", "7,11,13", "--cache-dir", str(cache)]
+    args = ["variety", "--pair", "y,y^2", "--primes", "7,11,13", "--oracle", "fast",
+            "--cache-dir", str(cache)]
     assert main(args) == cli.ERROR_EXITS.get(error, EXIT_CONFIG)
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: injected\n")
@@ -898,7 +920,7 @@ def test_corrupt_cached_file_over_budget_exits_before_any_enumeration(tmp_path, 
         return enumerate_fibers(pair, field, budget=budget)
 
     monkeypatch.setitem(cli.ENUMERATORS, "fast", enumerator)
-    args = ["variety", "--pair", "y,y^2", "--primes", "7,11", "--budget", "10000"]
+    args = ["variety", "--pair", "y,y^2", "--primes", "7,11", "--budget", "10000", "--oracle", "fast"]
     assert main([*args, "--cache-dir", str(cache)]) == EXIT_BUDGET
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -410,6 +410,7 @@ def test_work_estimate_formula(standard_pairs):
     pair = standard_pairs["y^2,y^3"]
     assert work_estimate(pair, 7) == work_estimate(pair, 7, "loop") == 2 * 3 * 7**4
     assert work_estimate(pair, 7, "naive8") == 7**8
+    assert work_estimate(pair, 7, "closed") == 7  # the degree-(1, 2) closed form
 
 
 def test_budget_gate(standard_pairs):
