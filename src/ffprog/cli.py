@@ -12,7 +12,8 @@ certify    root-separation certificates up to a degree cap
 
 Exit codes: 0 success, 1 failed verification/certification, 2 bad
 configuration, inadmissible input, or a path or stdout that cannot be read
-or written, 3 characteristic too small, 4 work budget exceeded.
+or written, 3 characteristic too small, 4 work budget exceeded or an
+allocation that failed.
 
 Reports are deterministic: JSON is dumped with sorted keys, CSV rows are
 emitted in sorted sweep order, and all randomness flows from --seed through
@@ -77,8 +78,10 @@ EXIT_CONFIG = 2
 EXIT_CHAR = 3
 EXIT_BUDGET = 4
 # The exit code of each error that main reports; any other one exits EXIT_CONFIG.
+# A MemoryError means that an array, sized by the prime, could not be allocated.
 ERROR_EXITS = {
-    CharTooSmall: EXIT_CHAR, BadCharacteristic: EXIT_CHAR, WorkBudgetExceeded: EXIT_BUDGET
+    CharTooSmall: EXIT_CHAR, BadCharacteristic: EXIT_CHAR,
+    WorkBudgetExceeded: EXIT_BUDGET, MemoryError: EXIT_BUDGET,
 }
 
 DEFAULT_VERIFY_PAIRS = ("y,y^2", "y^2,y^3", "y,y^3", "2*y^2,y^2+y")
@@ -694,8 +697,8 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](args)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    except (ConfigError, ValueError, FFProgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, FFProgError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(
             (code for cls, code in ERROR_EXITS.items() if isinstance(exc, cls)), EXIT_CONFIG
         )

@@ -11,12 +11,14 @@ form the analysis modules expect:
     (P1, P2) by (P1 - P2, -P2) when they coincide, which strictly lowers
     deg P1).
 
-The normalized pair also carries P2' = P2 - P1 and, in the equal-degree
-case, the remainder P3 = P2 - (b/a) * P1 whose degree r3 satisfies
-0 < r3 < r1.  min_char is the smallest characteristic in which every
-reduction below is faithful: 1 + the max of r2 and every coefficient
-numerator and denominator magnitude in P1, P2, P2', P3 (the leading
-coefficients among them).
+The normalized pair holds (P1, P2, swapped, replaced) and nothing else.
+Everything else is derived from P1 and P2: the degrees r1 and r2,
+P2' = P2 - P1 and, in the equal-degree case, the remainder
+P3 = P2 - (b/a) * P1, a and b the leading coefficients of P1 and P2, whose
+degree r3 satisfies 0 < r3 < r1.  min_char is the smallest characteristic
+in which every reduction below is faithful: 1 + the max of r2 and every
+coefficient numerator and denominator magnitude in P1, P2, P2', P3 (the
+leading coefficients among them).
 
 The eight-variable auxiliary system is held as MultiPoly values: each of its
 polynomials is a sum of univariate parts, sum over v of P_v(y_v), so the
@@ -321,22 +323,45 @@ def check_admissible(p1: IntPoly, p2: IntPoly):
 
 @dataclass(frozen=True)
 class NormalizedPair:
-    """An admissible pair in canonical form plus its derived data."""
+    """An admissible pair in canonical form: the canonical P1 and P2, and
+    whether normalize_pair swapped or replaced them.  The degrees, P2', P3
+    and min_char are functions of P1 and P2, so they are derived here, never
+    stored beside them."""
 
     p1: IntPoly
     p2: IntPoly
-    p2prime: IntPoly
-    p3: IntPoly | None
-    r1: int
-    r2: int
-    r3: int | None
-    lead_a: Fraction
-    lead_b: Fraction
-    lead_c: Fraction
-    lead_d: Fraction | None
-    min_char: int
     swapped: bool
     replaced: bool
+
+    @property
+    def r1(self) -> int:
+        return self.p1.degree
+
+    @property
+    def r2(self) -> int:
+        return self.p2.degree
+
+    @property
+    def r3(self) -> int | None:
+        return None if self.p3 is None else self.p3.degree
+
+    @cached_property
+    def p2prime(self) -> IntPoly:
+        return self.p2 - self.p1
+
+    @cached_property
+    def p3(self) -> IntPoly | None:
+        """P2 - (b/a) P1 when r1 == r2, for a and b the leads of P1 and P2."""
+        if self.r1 != self.r2:
+            return None
+        return self.p2 - self.p1.scale(self.p2.leading_coeff / self.p1.leading_coeff)
+
+    @cached_property
+    def min_char(self) -> int:
+        polys = [self.p1, self.p2, self.p2prime] + ([] if self.p3 is None else [self.p3])
+        coeffs = [c for poly in polys for _, c in poly.terms]
+        magnitudes = [abs(c.numerator) for c in coeffs] + [c.denominator for c in coeffs]
+        return 1 + max(self.r2, *magnitudes)
 
     def key(self) -> str:
         return self._key
@@ -362,62 +387,20 @@ class NormalizedPair:
             )
 
 
-def _coeff_magnitudes(poly: IntPoly):
-    for _, c in poly.terms:
-        yield abs(c.numerator)
-        yield c.denominator
-
-
 def normalize_pair(p1: IntPoly, p2: IntPoly) -> NormalizedPair:
     ok, diagnosis = check_admissible(p1, p2)
     if not ok:
         raise Inadmissible(diagnosis)
 
-    swapped = False
-    if p1.degree > p2.degree:
+    swapped = p1.degree > p2.degree
+    if swapped:
         p1, p2 = p2, p1
-        swapped = True
 
-    replaced = False
-    if p1.degree == p2.degree and p1.leading_coeff == p2.leading_coeff:
+    replaced = p1.degree == p2.degree and p1.leading_coeff == p2.leading_coeff
+    if replaced:
         p1, p2 = p1 - p2, -p2
-        replaced = True
 
-    r1, r2 = p1.degree, p2.degree
-    p2prime = p2 - p1
-    lead_a = p1.leading_coeff
-    lead_b = p2.leading_coeff
-    lead_c = p2prime.leading_coeff  # deg P2' = r2: equal degrees have distinct leads
-
-    p3 = None
-    r3 = None
-    lead_d = None
-    if r1 == r2:
-        p3 = p2 - p1.scale(lead_b / lead_a)
-        r3 = p3.degree
-        lead_d = p3.leading_coeff
-
-    magnitudes = [r2]
-    for poly in (p1, p2, p2prime) + ((p3,) if p3 is not None else ()):
-        magnitudes.extend(_coeff_magnitudes(poly))
-    min_char = 1 + max(magnitudes)
-
-    return NormalizedPair(
-        p1=p1,
-        p2=p2,
-        p2prime=p2prime,
-        p3=p3,
-        r1=r1,
-        r2=r2,
-        r3=r3,
-        lead_a=lead_a,
-        lead_b=lead_b,
-        lead_c=lead_c,
-        lead_d=lead_d,
-        min_char=min_char,
-        swapped=swapped,
-        replaced=replaced,
-    )
+    return NormalizedPair(p1, p2, swapped, replaced)
 
 
 @dataclass(frozen=True)
@@ -461,7 +444,7 @@ def build_aux_system(pair: NormalizedPair) -> AuxSystem:
 
     qprime = None
     if pair.r1 == pair.r2:
-        lam = pair.lead_b / pair.lead_a
+        lam = pair.p2.leading_coeff / pair.p1.leading_coeff
         qprime = q + (r1 - r2).scale(lam) - r3
 
     return AuxSystem(R1=r1, R2=r2, R3=r3, R4=r4, Q=q, Qprime=qprime)

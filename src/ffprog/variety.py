@@ -107,9 +107,10 @@ SCHEMA_VERSION = 1
 # its p(p + 1) cells of K.  2**16 int64 keys are 512 KiB, so one batch's
 # key, cell and row-key buffers and its K block fit in a 4 MiB L2 together
 # while a slab costs less than the budget (about 2p^2 < 2**16, p up to 181);
-# past that a batch is one slab.  The three fibers-cold enumerations
-# (y,y^2 at 151 and 173, y^2,y^3 at 131) in one process peaked at
-# 70 / 46 / 40 / 39 MB RSS with 2**20 / 2**18 / 2**16 / 2**14 keys.
+# past that a batch is one slab.  When 2**16 was chosen, before y,y^2 took
+# the closed form, three fast enumerations in one process (y,y^2 at 151 and
+# 173, y^2,y^3 at 131) peaked at 70 / 46 / 40 / 39 MB RSS with
+# 2**20 / 2**18 / 2**16 / 2**14 keys.
 BATCH_ROWS = 1 << 16
 
 # float64 holds every integer below 2**53 exactly; see the module docstring.
@@ -590,7 +591,7 @@ class GrowthRow(NamedTuple):
 def growth_row(dist: FiberDistribution) -> GrowthRow:
     p = dist.field.p
     cs = char_sums_over_fibers(dist)
-    scaled = float(np.abs(cs[1:]).max() * np.sqrt(p)) if p > 1 else 0.0
+    scaled = float(np.abs(cs[1:]).max() * np.sqrt(p))
     return GrowthRow(
         p=p,
         v_size=dist.v_size,

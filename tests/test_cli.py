@@ -1,7 +1,6 @@
 """End-to-end checks of the command line: exit codes, report bytes, cache."""
 
 import csv
-import dataclasses
 import errno
 import glob
 import hashlib
@@ -12,6 +11,11 @@ import sys
 import time
 
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from ffprog.cli import (
     COMMAND_FLAGS,
@@ -930,10 +934,11 @@ def test_corrupt_cached_file_over_budget_exits_before_any_enumeration(tmp_path, 
 
 
 def test_int64_bound_on_v_exits_before_any_enumeration(tmp_path, monkeypatch):
-    # degrees raised so that r1^2 * r2^2 * p^4 stays below 2**63 at p = 7
-    # and reaches it at p = 11: the sweep stops before p = 7 is enumerated
-    pair = dataclasses.replace(normalize_pair(*parse_pair("y,y^2")), r1=2**12, r2=2**13)
-    assert variety.v_bounds(pair, 7)[1] < 2**63 <= variety.v_bounds(pair, 11)[1]
+    # the limit lowered so that the bound 9 p^4 of y,y^3 stays below it at
+    # p = 7 and reaches it at p = 11: the sweep stops before p = 7 is enumerated
+    monkeypatch.setattr(variety, "INT64_LIMIT", 10**5)
+    pair = normalize_pair(*parse_pair("y,y^3"))
+    assert variety.v_bounds(pair, 7)[1] < variety.INT64_LIMIT <= variety.v_bounds(pair, 11)[1]
     calls = []
     monkeypatch.setitem(cli.ENUMERATORS, "fast", lambda *args, **kw: calls.append(args))
     cache = str(tmp_path / "cache")
@@ -972,6 +977,37 @@ def run_cli(*argv, stdout=subprocess.PIPE, timeout=60):
         [sys.executable, "-m", "ffprog.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
         text=True, env=env, timeout=timeout,
     )
+
+
+def _address_space_3gib():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--pair", "y,y^2"],
+        ["expander", "--poly", "y^2"],
+        ["verify", "--only", "weil"],
+        ["verify", "--only", "decomposition"],
+    ],
+    ids=" ".join,
+)
+def test_an_allocation_that_fails_exits_4(tmp_path, argv):
+    # p = 2147483647 needs 16 GiB for one float64 or int64 array, past a
+    # 3 GiB address space: one error line, not numpy's traceback
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "ffprog.cli", *argv, "--primes", "2147483647"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        preexec_fn=_address_space_3gib,
+    )
+    assert done.returncode == EXIT_BUDGET
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")

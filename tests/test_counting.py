@@ -2,6 +2,7 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ffprog import (
     CharTooSmall,
     CountReport,
     DegreeTooSmall,
+    EmptyVariety,
     FiberDistribution,
     GridFunction,
     Inadmissible,
@@ -27,6 +29,7 @@ from ffprog import (
     lambda3,
     lambda_prime,
     main_theorem_ratio,
+    normalize_pair,
     parse_poly,
     prop22_sides,
     random_subset,
@@ -592,3 +595,32 @@ def test_expander_matches_brute_force(monkeypatch, p, density, poly):
 def test_expander_empty_input():
     f = field_new(13)
     assert expander_image(SubsetSpec.empty(f), SubsetSpec.full(f), Y2, f) == 0
+
+
+def _other_field_cases():
+    """Each function's guard against inputs from two fields, p = 7 and 11."""
+    f7, f11 = field_new(7), field_new(11)
+    g7, g11 = GridFunction(f7, np.ones(7)), GridFunction(f11, np.ones(11))
+    pair = normalize_pair(Y, Y2)
+    fibers11 = SimpleNamespace(field=f11)
+    empty = SimpleNamespace(field=f7, c=np.zeros(7, dtype=np.int64), v_size=0)
+    return {
+        "lambda3": (lambda: lambda3(g7, g7, g11, Y, Y2, f7), ValueError, "different fields"),
+        "lambda2": (lambda: lambda2(g7, g11, Y, f7), ValueError, "different fields"),
+        "lambda_prime_empty": (lambda: lambda_prime(g7, g7, empty), EmptyVariety, "no points"),
+        "main_theorem_ratio": (
+            lambda: main_theorem_ratio(g7, g7, g7, pair, fibers11), ValueError, "different field"
+        ),
+        "expander_image": (
+            lambda: expander_image(SubsetSpec.full(f7), SubsetSpec.full(f11), Y2, f7),
+            ValueError,
+            "different field",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_other_field_cases()))
+def test_guards_refuse_mixed_fields_and_empty_fibers(case):
+    call, error, match = _other_field_cases()[case]
+    with pytest.raises(error, match=match):
+        call()

@@ -1,7 +1,9 @@
+import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ffprog import (
@@ -17,7 +19,8 @@ from ffprog import (
     parse_poly,
     qprime_alternating_form,
 )
-from ffprog.polys import MAX_DEGREE
+from ffprog.cli import EXIT_CONFIG, main
+from ffprog.polys import MAX_DEGREE, NormalizedPair
 
 
 def test_parse_sparse_forms():
@@ -251,9 +254,87 @@ def test_normalize_equal_degree_distinct_leads():
     assert pair.p2prime == parse_poly("-y^2+y")
     assert pair.p3 == parse_poly("y")
     assert pair.r3 == 1
-    assert pair.lead_a == 2 and pair.lead_b == 1 and pair.lead_c == -1
-    assert pair.lead_d == 1
+    assert pair.p1.leading_coeff == 2 and pair.p2.leading_coeff == 1
+    assert pair.p2prime.leading_coeff == -1 and pair.p3.leading_coeff == 1
     assert pair.min_char == 3
+
+
+def eager_normalize(p1, p2):
+    """normalize_pair as it was before NormalizedPair derived its data: every
+    value that normalize prints, computed up front.  Kept as the oracle."""
+    ok, diagnosis = check_admissible(p1, p2)
+    if not ok:
+        raise Inadmissible(diagnosis)
+    swapped = False
+    if p1.degree > p2.degree:
+        p1, p2 = p2, p1
+        swapped = True
+    replaced = False
+    if p1.degree == p2.degree and p1.leading_coeff == p2.leading_coeff:
+        p1, p2 = p1 - p2, -p2
+        replaced = True
+    r1, r2 = p1.degree, p2.degree
+    p2prime = p2 - p1
+    p3 = r3 = None
+    if r1 == r2:
+        p3 = p2 - p1.scale(p2.leading_coeff / p1.leading_coeff)
+        r3 = p3.degree
+    magnitudes = [r2]
+    for poly in (p1, p2, p2prime) + ((p3,) if p3 is not None else ()):
+        for _, c in poly.terms:
+            magnitudes.extend((abs(c.numerator), c.denominator))
+    key = f"{p1}|{p2}"
+    return dict(
+        p1=p1, p2=p2, p2prime=p2prime, p3=p3, r1=r1, r2=r2, r3=r3, min_char=1 + max(magnitudes),
+        swapped=swapped, replaced=replaced, key=key,
+        pair_hash=hashlib.sha256(key.encode()).hexdigest()[:16],
+    )
+
+
+positive_terms = st.dictionaries(
+    st.integers(1, 9) | st.sampled_from([40, 97]),
+    st.sampled_from([1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-5, 3), Fraction(9, 11)]),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(positive_terms, positive_terms, st.sampled_from(["free", "equal degree", "equal lead"]))
+@example({1: 1}, {2: 1}, "free")  # in order
+@example({2: 1}, {1: 1}, "free")  # swapped
+@example({2: 1, 1: 1}, {}, "equal lead")  # replaced: (y^2 + y, y^2)
+@example({2: 2}, {1: 1}, "equal degree")  # P3: (2*y^2, y^2 + y)
+@example({3: Fraction(1, 2), 2: -3}, {1: Fraction(9, 11)}, "equal degree")  # fractions
+@example({2: 1, 1: 7}, {1: -7}, "equal degree")  # P3 = -21*y has the largest coefficient
+@settings(max_examples=400, deadline=None)
+def test_derived_pair_matches_the_eager_reference(a, b, tie):
+    # a tie gives the second polynomial the first one's degree, with the
+    # same lead (so normalize_pair replaces) or twice it (so P3 exists)
+    if tie != "free":
+        top = max(a)
+        b = {k: c for k, c in b.items() if k < top}
+        b[top] = a[top] if tie == "equal lead" else 2 * a[top]
+    p1, p2 = IntPoly.from_terms(a.items()), IntPoly.from_terms(b.items())
+    try:
+        want = eager_normalize(p1, p2)
+    except Inadmissible as exc:
+        with pytest.raises(Inadmissible) as got:
+            normalize_pair(p1, p2)
+        assert got.value.diagnosis is exc.diagnosis
+        return
+    pair = normalize_pair(p1, p2)
+    got = {name: getattr(pair, name) for name in want if name not in ("key", "pair_hash")}
+    assert {**got, "key": pair.key(), "pair_hash": pair.pair_hash()} == want
+
+
+def test_normalized_pair_holds_only_what_normalize_decides():
+    assert [f.name for f in dataclasses.fields(NormalizedPair)] == [
+        "p1", "p2", "swapped", "replaced"
+    ]
+    pair = normalize_pair(*parse_pair("y^2,y^3"))
+    # a degree that disagrees with the polynomials cannot be set
+    with pytest.raises(TypeError):
+        dataclasses.replace(pair, r1=1, r2=2)
 
 
 def test_normalize_is_idempotent():
@@ -363,3 +444,17 @@ def test_qprime_identity_generated_family():
             aux = build_aux_system(pair)
             assert aux.Qprime == qprime_alternating_form(pair)
             assert aux.Qprime.total_degree() < pair.r1
+
+
+def test_zero_polynomial_has_no_leading_coefficient():
+    with pytest.raises(ValueError, match="zero polynomial has no leading coefficient"):
+        IntPoly.zero().leading_coeff
+
+
+@pytest.mark.parametrize("text", ["y+,y^2", "y++y,y^2", "--y,y^2"])
+def test_a_dangling_or_doubled_sign_exits_2(text, capsys):
+    # "--pair=" form, since argparse takes a separate "--y,y^2" for a flag
+    assert main(["normalize", f"--pair={text}"]) == EXIT_CONFIG
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: cannot parse polynomial: ") and cap.err.count("\n") == 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ffprog import (
     BadDensity,
+    GridFunction,
     SubsetSpec,
     balance,
     field_new,
@@ -159,3 +160,9 @@ def test_parse_subset_file_skips_comments(tmp_path):
     path = tmp_path / "set.txt"
     path.write_text("# residues of A\n3\n\n  # indented note\n8  # trailing note\n1\n")
     assert parse_subset(str(path), field_new(13)).members == (1, 3, 8)
+
+
+@pytest.mark.parametrize("shape", [(6,), (8,), (7, 1), ()], ids=str)
+def test_grid_function_refuses_a_wrong_length(shape):
+    with pytest.raises(ValueError, match=r"need 7 values, got shape"):
+        GridFunction(field_new(7), np.zeros(shape))
