@@ -7,7 +7,6 @@ from .errors import (
     CharTooSmall,
     CorruptFiberFile,
     DegreeTooSmall,
-    EmptyVariety,
     Inadmissible,
     NotMeanZero,
     NotPrime,

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegreeTooSmall, EmptyVariety, NotMeanZero
+from .errors import DegreeTooSmall, NotMeanZero
 from .field import PrimeField, value_table
 from .polys import IntPoly, NormalizedPair, normalize_pair
 from .setfun import GridFunction, SubsetSpec, balance, indicator, l2_norm
@@ -263,8 +263,6 @@ def lambda_prime(f0: GridFunction, f1: GridFunction, fibers) -> float:
     """
     if f0.field.p != f1.field.p or f0.field.p != fibers.field.p:
         raise ValueError("functions and fibers live on different fields")
-    if fibers.v_size == 0:
-        raise EmptyVariety("fiber distribution has no points")
     p = f0.field.p
     corr = _shift_dots(f0.values, f1.values, np.arange(p))
     weighted = np.dot(fibers.c.astype(np.float64), corr)

@@ -44,10 +44,6 @@ class WorkBudgetExceeded(FFProgError):
     """An enumeration would exceed the configured work budget."""
 
 
-class EmptyVariety(FFProgError):
-    """A fiber distribution with no points; signals an internal error."""
-
-
 class NotMeanZero(FFProgError):
     """An operation required a balanced (mean-zero) function."""
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CharTooSmall, DegreeTooSmall, EmptyVariety
+from .errors import CharTooSmall, DegreeTooSmall
 from .field import PrimeField, value_table
 from .setfun import GridFunction
 
@@ -56,8 +56,6 @@ def char_sums_over_fibers(fibers) -> np.ndarray:
 
     Entry t is (1/|V|) * sum_a c[a] * psi_t(a); entry 0 is set to 1 exactly.
     """
-    if fibers.v_size == 0:
-        raise EmptyVariety("fiber distribution has no points")
     out = np.fft.ifft(fibers.c.astype(np.float64), norm="forward") / fibers.v_size
     out[0] = 1.0
     return out

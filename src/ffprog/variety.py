@@ -80,6 +80,12 @@ needs no enumeration: its histogram has a closed form, proven in the
 docstring of closed_fibers, which builds it in O(p).  fiber_builder picks
 the closed form for such a pair unless an enumerator is named, and the
 named enumerator otherwise.
+
+Every builder, and every load of a fiber file, ends in one FiberDistribution,
+which stores the field, the pair and the counts c and nothing else.  |V|,
+W = sum_a c[a]^2 and the largest fiber are derived from c on first use, and
+the constructor refuses counts whose total lies outside v_bounds, so no
+distribution without points, or past the proven sandwich, exists.
 """
 
 from __future__ import annotations
@@ -88,6 +94,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -145,35 +152,43 @@ def _preimage_lists(values: np.ndarray, p: int) -> list:
     return [roots[o : o + n] for o, n in zip(offsets.tolist(), counts.tolist())]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FiberDistribution:
-    """Exact fiber histogram of Q over the variety."""
+    """Exact fiber histogram of Q over the variety: the field, the pair and
+    the p counts c[a] = #{y in V : Q(y) = a}.  Only these are stored; |V|,
+    W = sum_a c[a]^2 and the largest fiber are derived from c.
+
+    The constructor keeps a private read-only int64 copy of c and raises
+    ValueError for a wrong shape, a negative count, or a total |V| outside
+    v_bounds, so every distribution that exists has p^4 <= |V| <= r1^2 *
+    r2^2 * p^4."""
 
     field: PrimeField
     pair: NormalizedPair
     c: np.ndarray
-    v_size: int
-    w_size: int
-    max_fiber: int
 
-    @classmethod
-    def from_histogram(cls, field, pair, c) -> "FiberDistribution":
-        c = np.asarray(c, dtype=np.int64)
-        if c.shape != (field.p,) or (c < 0).any():
+    def __post_init__(self) -> None:
+        c = np.array(self.c, dtype=np.int64)  # a private copy: the caller keeps theirs
+        if c.shape != (self.field.p,) or (c < 0).any():
             raise ValueError("histogram must be p nonnegative counts")
-        fibers = c.tolist()
-        v_size = sum(fibers)
-        low, high = v_bounds(pair, field.p)
-        if not low <= v_size <= high:
-            raise ValueError(f"fiber histogram total {v_size} violates [{low}, {high}]")
-        return cls(
-            field=field,
-            pair=pair,
-            c=c,
-            v_size=v_size,
-            w_size=sum(n * n for n in fibers),
-            max_fiber=int(c.max()),
-        )
+        c.flags.writeable = False
+        object.__setattr__(self, "c", c)
+        low, high = v_bounds(self.pair, self.field.p)
+        if not low <= self.v_size <= high:
+            raise ValueError(f"fiber histogram total {self.v_size} violates [{low}, {high}]")
+
+    @cached_property
+    def v_size(self) -> int:
+        return sum(self.c.tolist())
+
+    @cached_property
+    def w_size(self) -> int:
+        # Python ints: W can pass 2**63 while |V| stays below it
+        return sum(n * n for n in self.c.tolist())
+
+    @cached_property
+    def max_fiber(self) -> int:
+        return int(self.c.max())
 
     def digest(self) -> str:
         payload = ",".join(map(str, self.c.tolist()))
@@ -209,7 +224,7 @@ class FiberDistribution:
                 raise CorruptFiberFile(f"{path}: fiber file is not a JSON object")
             if raw.get("p") != p:
                 raise CorruptFiberFile(f"{path}: fiber file is for p={raw.get('p')!r}, not p={p}")
-            dist = cls.from_histogram(field_new(p), pair, raw["c"])
+            dist = cls(field_new(p), pair, raw["c"])
         except NotRegularFile as exc:
             raise CorruptFiberFile(f"{path}: fiber file is not a regular file") from exc
         except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
@@ -288,7 +303,7 @@ def enumerate_fibers(
         raise ArithmeticError(
             f"p = {p}: Gram autocorrelation sums to {int(c.sum())}, not |V| = {v_size}"
         )
-    return FiberDistribution.from_histogram(field, pair, c)
+    return FiberDistribution(field, pair, c)
 
 
 def _k_gram(pair: NormalizedPair, field: PrimeField) -> tuple[np.ndarray, int]:
@@ -442,7 +457,7 @@ def enumerate_fibers_reference(
                                 q0 = t2[y8] - q7
                                 for v in v4:
                                     c[(q0 + v) % p] += 1
-    return FiberDistribution.from_histogram(field, pair, np.asarray(c))
+    return FiberDistribution(field, pair, c)
 
 
 def enumerate_fibers_naive(
@@ -467,7 +482,7 @@ def enumerate_fibers_naive(
         if (t2p[y[6]] - t2p[y[4]] - t2p[y[2]] + t2p[y[0]]) % p:
             continue
         c[(t2[y[7]] - t2[y[6]] - t2[y[3]] + t2[y[2]]) % p] += 1
-    return FiberDistribution.from_histogram(field, pair, np.asarray(c))
+    return FiberDistribution(field, pair, c)
 
 
 ENUMERATORS = {
@@ -561,7 +576,7 @@ def closed_fibers(
     p = field.p
     c = np.full(p, p**3 - p - 1, dtype=np.int64)
     c[0] = 4 * p**3 - 4 * p**2 + 2 * p - 1
-    return FiberDistribution.from_histogram(field, pair, c)
+    return FiberDistribution(field, pair, c)
 
 
 def fiber_builder(pair: NormalizedPair, oracle: str | None = None):

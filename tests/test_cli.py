@@ -1010,6 +1010,18 @@ def test_an_allocation_that_fails_exits_4(tmp_path, argv):
     assert "Traceback" not in done.stderr
 
 
+def test_a_leading_minus_needs_the_equals_form():
+    # argparse reads a separate value that starts with "-" as a flag, so
+    # "--pair -y,y^2" is a usage error; "--pair=-y,y^2" reaches the parser
+    done = run_cli("normalize", "--pair=-y,y^2")
+    assert done.returncode == EXIT_OK
+    assert json.loads(done.stdout)["p1"] == "-y"
+    done = run_cli("normalize", "--pair", "-y,y^2")
+    assert done.returncode == EXIT_CONFIG
+    assert done.stdout == "" and "Traceback" not in done.stderr
+    assert run_cli("expander", "--poly=-y^2", "--primes", "31").returncode == EXIT_OK
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 def test_cached_fiber_path_that_is_a_fifo(tmp_path, capsys):
     # a FIFO is neither a regular file nor a directory: corrupt, so verify

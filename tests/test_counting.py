@@ -12,7 +12,6 @@ from ffprog import (
     CharTooSmall,
     CountReport,
     DegreeTooSmall,
-    EmptyVariety,
     FiberDistribution,
     GridFunction,
     Inadmissible,
@@ -454,9 +453,7 @@ def test_lambda_prime_constants(standard_pairs, fibers_cache):
 def test_lambda_prime_uniform_fibers_kill_mean_zero(standard_pairs):
     pair = standard_pairs["y,y^2"]
     f = field_new(5)
-    uniform = FiberDistribution.from_histogram(
-        f, pair, np.full(5, 5**3, dtype=np.int64)
-    )
+    uniform = FiberDistribution(f, pair, np.full(5, 5**3, dtype=np.int64))
     f0 = rand_fn(f, 20)
     fb = balance(random_subset(f, 0.6, seed=21))
     assert abs(lambda_prime(f0, fb, uniform)) < 1e-12
@@ -603,11 +600,9 @@ def _other_field_cases():
     g7, g11 = GridFunction(f7, np.ones(7)), GridFunction(f11, np.ones(11))
     pair = normalize_pair(Y, Y2)
     fibers11 = SimpleNamespace(field=f11)
-    empty = SimpleNamespace(field=f7, c=np.zeros(7, dtype=np.int64), v_size=0)
     return {
         "lambda3": (lambda: lambda3(g7, g7, g11, Y, Y2, f7), ValueError, "different fields"),
         "lambda2": (lambda: lambda2(g7, g11, Y, f7), ValueError, "different fields"),
-        "lambda_prime_empty": (lambda: lambda_prime(g7, g7, empty), EmptyVariety, "no points"),
         "main_theorem_ratio": (
             lambda: main_theorem_ratio(g7, g7, g7, pair, fibers11), ValueError, "different field"
         ),

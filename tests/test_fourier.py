@@ -1,5 +1,4 @@
 import cmath
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from conftest import brute_points, direct_char_sums, root_table
 from ffprog import (
     CharTooSmall,
     DegreeTooSmall,
-    EmptyVariety,
     FiberDistribution,
     GridFunction,
     SubsetSpec,
@@ -89,9 +87,7 @@ def test_charsum_matches_direct_sum(standard_pairs, fibers_cache):
     pair = standard_pairs["y,y^2"]
     p = ORACLE_PRIMES[1]
     rng = np.random.default_rng(3)
-    big = FiberDistribution.from_histogram(
-        field_new(p), pair, p**3 + rng.integers(0, p**3, size=p)
-    )
+    big = FiberDistribution(field_new(p), pair, p**3 + rng.integers(0, p**3, size=p))
     for fibers in (fibers_cache(pair, 31), fibers_cache(standard_pairs["y^2,y^3"], 13), big):
         c = fibers.c.astype(np.float64)
         want = direct_char_sums(c) / fibers.v_size
@@ -177,9 +173,7 @@ def test_charsum_trivial_entry_is_exact_one(standard_pairs, fibers_cache):
 def test_charsum_uniform_histogram_vanishes(standard_pairs):
     pair = standard_pairs["y,y^2"]
     f = field_new(5)
-    uniform = FiberDistribution.from_histogram(
-        f, pair, np.full(5, 5**3, dtype=np.int64)
-    )
+    uniform = FiberDistribution(f, pair, np.full(5, 5**3, dtype=np.int64))
     cs = char_sums_over_fibers(uniform)
     assert np.all(np.abs(cs[1:]) < 1e-12)
 
@@ -193,12 +187,6 @@ def test_charsum_matches_brute_force_p3(standard_pairs, fibers_cache):
         direct = sum(cmath.exp(2j * cmath.pi * t * a / p) for a in vq.values())
         direct /= len(vq)
         assert cs[t] == pytest.approx(direct, abs=1e-12)
-
-
-def test_charsum_empty_fibers_rejected():
-    stub = SimpleNamespace(field=field_new(5), c=np.zeros(5, dtype=np.int64), v_size=0)
-    with pytest.raises(EmptyVariety):
-        char_sums_over_fibers(stub)
 
 
 # --- spectral identity ---------------------------------------------------------

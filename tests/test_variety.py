@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 import tracemalloc
@@ -5,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import brute_histogram, brute_points
 
 from ffprog import variety
@@ -375,23 +379,24 @@ def test_sandwich_bounds(standard_pairs, fibers_cache):
             assert d.max_fiber == int(d.c.max())
 
 
-def test_from_histogram_rejects_bad_input(standard_pairs):
+def test_constructor_rejects_bad_input(standard_pairs):
     pair = standard_pairs["y,y^2"]
     f = field_new(7)
     with pytest.raises(ValueError):
-        FiberDistribution.from_histogram(f, pair, np.zeros(6, dtype=np.int64))
+        FiberDistribution(f, pair, np.zeros(6, dtype=np.int64))
     c = np.zeros(7, dtype=np.int64)
     c[0] = -1
     with pytest.raises(ValueError):
-        FiberDistribution.from_histogram(f, pair, c)
+        FiberDistribution(f, pair, c)
+    with pytest.raises(ValueError, match="total 0 violates"):
+        # no points at all: lambda_prime and the character sums divide by |V|
+        FiberDistribution(f, pair, np.zeros(7, dtype=np.int64))
     with pytest.raises(ValueError):
         # total below p^4
-        FiberDistribution.from_histogram(f, pair, np.ones(7, dtype=np.int64))
+        FiberDistribution(f, pair, np.ones(7, dtype=np.int64))
     with pytest.raises(ValueError):
         # total above r1^2 r2^2 p^4
-        FiberDistribution.from_histogram(
-            f, pair, np.full(7, 4 * 7**4, dtype=np.int64)
-        )
+        FiberDistribution(f, pair, np.full(7, 4 * 7**4, dtype=np.int64))
 
 
 def test_w_size_exact_beyond_int64(standard_pairs):
@@ -399,8 +404,82 @@ def test_w_size_exact_beyond_int64(standard_pairs):
     p = 251
     c = np.zeros(p, dtype=np.int64)
     c[0] = p**4
-    d = FiberDistribution.from_histogram(field_new(p), standard_pairs["y,y^2"], c)
+    d = FiberDistribution(field_new(p), standard_pairs["y,y^2"], c)
     assert d.w_size == p**8
+
+
+def eager_fibers(field, pair, c):
+    """FiberDistribution.from_histogram as it was before the distribution
+    derived its sizes from c: every stored value computed up front, and the
+    document save writes built from them.  Kept as the oracle."""
+    c = np.asarray(c, dtype=np.int64)
+    if c.shape != (field.p,) or (c < 0).any():
+        raise ValueError("histogram must be p nonnegative counts")
+    fibers = c.tolist()
+    v_size = sum(fibers)
+    p = field.p
+    low, high = p**4, pair.r1**2 * pair.r2**2 * p**4
+    if not low <= v_size <= high:
+        raise ValueError(f"fiber histogram total {v_size} violates [{low}, {high}]")
+    sizes = dict(v_size=v_size, w_size=sum(n * n for n in fibers), max_fiber=int(c.max()))
+    digest = hashlib.sha256(",".join(map(str, fibers)).encode()).hexdigest()
+    doc = dict(schema=1, p=p, pair=pair.key(), pair_hash=pair.pair_hash(), c=fibers, **sizes)
+    return dict(sizes, digest=digest, doc=dict(doc, digest=digest))
+
+
+@st.composite
+def histograms(draw):
+    """(field, pair, c) with a total near either bound of v_bounds or
+    anywhere in [0, 2 * high], sometimes with a negative count or a wrong
+    length, as a list or an int64 array."""
+    pair = normalize_pair(*parse_pair(draw(st.sampled_from(["y,y^2", "y^2,y^3", "2*y^2,y^2+y"]))))
+    p = draw(st.sampled_from([q for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31) if q >= pair.min_char]))
+    low, high = variety.v_bounds(pair, p)
+    total = draw(
+        st.integers(low - 2, low + 2) | st.integers(high - 2, high + 2) | st.integers(0, 2 * high)
+    )
+    weights = draw(st.lists(st.integers(0, 9), min_size=p, max_size=p))
+    c = [total * w // max(sum(weights), 1) for w in weights]
+    c[0] += total - sum(c)
+    flaw = draw(st.sampled_from(["none", "none", "none", "negative", "short", "long"]))
+    if flaw == "negative":
+        c[draw(st.integers(0, p - 1))] = -draw(st.integers(1, 3))
+    elif flaw != "none":
+        c = c[:-1] if flaw == "short" else c + [0]
+    return field_new(p), pair, np.array(c, dtype=np.int64) if draw(st.booleans()) else c
+
+
+@given(histograms())
+@settings(max_examples=300, deadline=None)
+def test_distribution_matches_eager_reference(case):
+    field, pair, c = case
+    try:
+        want = eager_fibers(field, pair, c)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            FiberDistribution(field, pair, c)
+        assert str(got.value) == str(exc)
+        return
+    dist = FiberDistribution(field, pair, c)
+    got = dict(v_size=dist.v_size, w_size=dist.w_size, max_fiber=dist.max_fiber)
+    assert {**got, "digest": dist.digest()} == {k: want[k] for k in (*got, "digest")}
+    assert all(type(v) is int for v in got.values())
+    assert json.dumps(dist.to_json_dict(), sort_keys=True) == json.dumps(want["doc"], sort_keys=True)
+
+
+def test_distribution_holds_only_its_counts(standard_pairs):
+    assert [f.name for f in dataclasses.fields(FiberDistribution)] == ["field", "pair", "c"]
+    c = np.full(7, 7**3, dtype=np.int64)
+    dist = FiberDistribution(field_new(7), standard_pairs["y,y^2"], c)
+    # a size that disagrees with the counts cannot be set
+    with pytest.raises(TypeError):
+        dataclasses.replace(dist, v_size=0)
+    with pytest.raises(ValueError):
+        dist.c[0] = 1
+    # the distribution holds its own copy of the counts
+    c[0] = 0
+    assert dist.c.tolist() == [7**3] * 7
+    assert (dist.v_size, dist.w_size, dist.max_fiber) == (7**4, 7**7, 7**3)
 
 
 # --- gates -------------------------------------------------------------------
