@@ -294,11 +294,12 @@ def enumerate_fibers(
     admit(pair, field, budget, "fast")
     p = field.p
     gram, v_size = _k_gram(pair, field)
+    # Gram[g, g'] joins bin (g' - g) mod p.  Every partial sum of a bin is a
+    # sum of nonnegative integer entries, at most c[a] <= |V| < EXACT_LIMIT
+    # (_k_gram), so the float64 bincount is exact.
     idx = np.arange(p)
-    shifted = np.take_along_axis(
-        gram.astype(np.int64), (idx[:, None] + idx[None, :]) % p, axis=1
-    )
-    c = shifted.sum(axis=0)
+    bins = (idx[None, :] - idx[:, None]) % p
+    c = np.bincount(bins.ravel(), weights=gram.ravel(), minlength=p).astype(np.int64)
     if int(c.sum()) != v_size:
         raise ArithmeticError(
             f"p = {p}: Gram autocorrelation sums to {int(c.sum())}, not |V| = {v_size}"

@@ -174,6 +174,15 @@ def test_no_primes_is_config_error():
     assert main(["count", "--pair", "y,y^2", "--primes", "4"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["count", "verify"])
+def test_prime_two_is_refused_before_any_report(command, tmp_path):
+    # 2 is a prime, but F_p needs 3 <= p < 2**31
+    argv = [command, "--pair", "y,y^2", "--primes", "2..7"]
+    done = run_cli(*argv, "--cache-dir", str(tmp_path)) if command == "verify" else run_cli(*argv)
+    assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+    assert done.stderr == "error: modulus must lie in [3, 2**31): got 2\n"
+
+
 def test_inadmissible_pair_is_config_error():
     assert main(["count", "--pair", "y,2*y", "--primes", "7"]) == EXIT_CONFIG
 
@@ -1365,6 +1374,32 @@ def test_certify_all_pass(tmp_path):
 
 def test_certify_rmax_out_of_range():
     assert main(["certify", "--rmax", "13"]) == EXIT_CONFIG
+
+
+def test_certify_fails_when_a_modulus_does_not_clear_the_threshold():
+    # (1, 2) has min_modulus exactly 4.0, which does not clear 4; (2, 1) has
+    # sqrt(48), printed one ulp below math.sqrt(48.0)
+    done = run_cli("certify", "--rmax", "2", "--threshold", "4")
+    assert (done.returncode, done.stderr) == (EXIT_CHECK_FAILED, "")
+    assert done.stdout.splitlines() == [
+        "case,param1,param2,min_modulus,threshold,pass",
+        "R1LessR2,1,2,4.0,4.0,False",
+        "R1EqualsR2,2,1,6.928203230275508,4.0,True",
+    ]
+
+
+def test_verify_certificates_fail_row(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--only", "certificates", "--rmax", "2", "--threshold", "100"]
+    assert main([*argv, "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]) == (
+        EXIT_CHECK_FAILED
+    )
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert doc["passed"] is False
+    assert doc["rows"] == [
+        {"check": "certificates", "detail": "min_modulus=4.0", "instance": "rmax=2", "status": "FAIL"}
+    ]
 
 
 # --- the flag table -------------------------------------------------------------

@@ -1,3 +1,5 @@
+import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -140,6 +142,41 @@ def test_aux_order_equal_differs_only_in_middle():
 
 
 # --- certificates ---------------------------------------------------------
+#
+# A certificate holds only its numbers.  The analytic margins behind each
+# case are recomputed here from the certificate docstrings' formulas, as an
+# oracle that shares no code with ffprog.symbolic.
+
+
+def unit(n, a):
+    """e(a/n) = exp(2*pi*i*a/n)."""
+    return cmath.exp(2j * math.pi * a / n)
+
+
+def unequal_roots(r1, r2):
+    """For each root e(a/r1) of H1'', with g = gcd(r1, r2), r1' = r1/g and
+    r2' = r2/g: whether e(a*r2'/r1') != 1, whether the ordering
+    |e(1/r2') - 1|^r2' < |e(a*r2'/r1') - 1|^r1' holds there, and |H2''|."""
+    g = math.gcd(r1, r2)
+    r1p, r2p = r1 // g, r2 // g
+    const = (-1) ** r1p * (unit(r2p, 1) - 1) ** r2p
+    small = abs(unit(r2p, 1) - 1) ** r2p
+    rows = []
+    for a in range(r1):
+        w = unit(r1p, a * r2p)
+        h2 = abs((unit(r1, a) ** r2 - 1) ** r1p - const)
+        rows.append((abs(w - 1) > 1e-9, small < abs(w - 1) ** r1p, h2))
+    return rows
+
+
+def equal_margins_hold(r1, r3):
+    """2^(x+1) - 3^x - 1 > 1e-6 for x = r3/r1, and at every root z of
+    z^r1 + 2 the minuend |2z^r3 + 1|^r1 stays above (2^(x+1) - 1)^r1."""
+    x = r3 / r1
+    lower = (2 ** (x + 1) - 1) ** r1
+    roots = [2 ** (1 / r1) * cmath.exp(1j * math.pi * (2 * a + 1) / r1) for a in range(r1)]
+    minuends_ok = all(abs((2 * z**r3 + 1) ** r1) >= lower - 1e-9 for z in roots)
+    return 2 ** (x + 1) - 3**x - 1 > 1e-6 and minuends_ok
 
 
 def test_certificate_unequal_1_2_hand_value():
@@ -157,8 +194,7 @@ def test_certificate_equal_2_1_hand_value():
     assert cert.passed
     assert cert.min_modulus == pytest.approx(math.sqrt(48.0), rel=1e-12)
     assert cert.case_tag == "R1EqualsR2"
-    assert cert.details["positivity_ok"]
-    assert cert.details["lower_bound_holds"]
+    assert equal_margins_hold(2, 1)
 
 
 def test_certificates_sweep_to_12():
@@ -166,31 +202,32 @@ def test_certificates_sweep_to_12():
         for r2 in range(r1 + 1, 13):
             cert = certify_separation_unequal(r1, r2)
             assert cert.passed, (r1, r2, cert.min_modulus)
+            rows = unequal_roots(r1, r2)
+            assert cert.min_modulus == pytest.approx(min(h2 for *_, h2 in rows), rel=1e-12)
             g = math.gcd(r1, r2)
             if (r1 // g, r2 // g) != (2, 3):
-                assert cert.details["ordering_holds"], (r1, r2)
+                assert all(holds for applies, holds, _ in rows if applies), (r1, r2)
     for r1 in range(2, 13):
         for r3 in range(1, r1):
             cert = certify_separation_equal(r1, r3)
             assert cert.passed, (r1, r3, cert.min_modulus)
-            assert cert.details["positivity_ok"]
-            assert cert.details["lower_bound_holds"]
+            assert equal_margins_hold(r1, r3), (r1, r3)
 
 
 def test_certificate_2_3_ordering_caveat():
-    # The modulus-ordering heuristic is not what keeps (2,3) away from
-    # zero: at the nontrivial square root of unity the constant term has
-    # the LARGER modulus (3*sqrt(3) > 4) and the separation comes from the
-    # arguments instead (the value there is 4 - 3*sqrt(3)*i).  The recorded
-    # cross-check is expected to say so; the certificate still passes with
-    # minimum modulus 3*sqrt(3), attained at z = 1.
+    # The modulus ordering is not what keeps (2,3) away from zero: at the
+    # nontrivial square root of unity the constant term has the LARGER
+    # modulus (3*sqrt(3) > 4) and the separation comes from the arguments
+    # instead (the value there is 4 - 3*sqrt(3)*i).  The certificate still
+    # passes with minimum modulus 3*sqrt(3), attained at z = 1.
     cert = certify_separation_unequal(2, 3)
     assert cert.passed
-    assert not cert.details["ordering_holds"]
     assert cert.min_modulus == pytest.approx(3 * math.sqrt(3.0), rel=1e-12)
-    nontrivial = [r for r in cert.details["roots"] if r["ordering_applies"]]
+    nontrivial = [(holds, h2) for applies, holds, h2 in unequal_roots(2, 3) if applies]
     assert len(nontrivial) == 1
-    assert nontrivial[0]["modulus"] == pytest.approx(math.sqrt(43.0), rel=1e-12)
+    holds, h2 = nontrivial[0]
+    assert not holds
+    assert h2 == pytest.approx(math.sqrt(43.0), rel=1e-12)
 
 
 def test_certificates_reject_bad_degrees():
@@ -202,9 +239,12 @@ def test_certificates_reject_bad_degrees():
             certify_separation_equal(*args)
 
 
-def test_certificate_json_shape():
+def test_certificate_holds_what_it_reports():
     cert = certify_separation_unequal(2, 3)
-    j = cert.to_json()
-    assert set(j) == {"case", "params", "min_modulus", "threshold", "pass", "details"}
-    assert j["pass"] is True
-    assert j["params"] == [2, 3]
+    names = [f.name for f in dataclasses.fields(cert)]
+    assert names == ["case_tag", "params", "min_modulus", "threshold"]
+    with pytest.raises(TypeError):
+        dataclasses.replace(cert, passed=False)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.min_modulus = 0.0
+    assert dataclasses.replace(cert, threshold=cert.min_modulus).passed is False
