@@ -438,18 +438,15 @@ def cmd_count(args) -> int:
         pair.require_char(field)
         a, b, c = resolve_sets(args.sets, field, 3)
         rep = count_progressions(a, b, c, p1, p2, field)
-        ratio = float(rep.error) / rep.bound if rep.bound > 0 else 0.0
         rows.append(
             (
                 p,
                 args.pair,
-                a.size,
-                b.size,
-                c.size,
+                *rep.sizes,
                 rep.exact_count,
                 float(rep.expected),
                 float(rep.error),
-                ratio,
+                rep.ratio,
             )
         )
     emit_rows("count", {"pair": args.pair}, columns, rows, args.format, args.out)

@@ -3,7 +3,10 @@
 The central count is N(A, B, C) = #{(x, y) : x in A, x + P1(y) in B,
 x + P2(y) in C}, an exact integer: the popcount of three bit-packed
 windows per y, gathered in blocks of y, so O(p^2 / 64) word operations.
-Its normalized companion is
+A CountReport holds p, the sizes (|A|, |B|, |C|) and N; the main term
+|A||B||C|/p, the error against it and the ratio of that error to
+sqrt(|A||B||C|) p^(1/2 - 1/16) are derived from those three.  Its
+normalized companion is
 
     L(f0, f1, f2) = E_{x,y} f0(x) f1(x + P1(y)) f2(x + P2(y))
 
@@ -14,18 +17,20 @@ and the variety-averaged pair correlation
 
 which is evaluated through the fiber histogram of Q, never by walking V
 against F_p.  Floating-point reductions use numpy's fixed pairwise
-summation, so identical inputs reproduce identical bytes.
+summation, so identical inputs reproduce identical bytes.  Every entry
+point first refuses inputs from two fields, through field.require_same_field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DegreeTooSmall, NotMeanZero
-from .field import PrimeField, value_table
+from .field import PrimeField, require_same_field, value_table
 from .polys import IntPoly, NormalizedPair, normalize_pair
 from .setfun import GridFunction, SubsetSpec, balance, indicator, l2_norm
 
@@ -34,20 +39,36 @@ MEAN_ZERO_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CountReport:
-    """An exact progression count, its error against the main term
-    |A||B||C|/p, and the power-saving scale sqrt(|A||B||C|) p^(1/2 - 1/16)
-    that count reports divide the error by."""
+    """An exact progression count N(A, B, C) over F_p and the sizes
+    (|A|, |B|, |C|) it counted over.  The main term, the error against it,
+    the power-saving scale and the ratio that count reports print are
+    derived from these three."""
 
+    p: int
+    sizes: tuple[int, int, int]
     exact_count: int
-    expected: Fraction
-    error: Fraction
-    bound: float
 
+    @property
+    def expected(self) -> Fraction:
+        """The main term |A||B||C|/p."""
+        return Fraction(math.prod(self.sizes), self.p)
 
-def _check_same_field(field: PrimeField, *fs: GridFunction) -> None:
-    for f in fs:
-        if f.field.p != field.p:
-            raise ValueError("grid functions live on different fields")
+    @property
+    def error(self) -> Fraction:
+        """abs(N - |A||B||C|/p), exact."""
+        return abs(Fraction(self.exact_count) - self.expected)
+
+    @property
+    def bound(self) -> float:
+        """The power-saving scale sqrt(|A||B||C|) p^(1/2 - 1/16).  The root
+        stays ** 0.5: for |A||B||C| = 8415, math.sqrt rounds differently,
+        and the report would change."""
+        return math.prod(self.sizes) ** 0.5 * self.p ** (0.5 - 1 / 16)
+
+    @property
+    def ratio(self) -> float:
+        """error / bound, or 0.0 when a set is empty and the bound is 0."""
+        return float(self.error) / self.bound if self.bound > 0 else 0.0
 
 
 WORD = 64
@@ -182,19 +203,15 @@ def count_progressions(
     """Exact N(A, B, C) for the progression x, x + P1(y), x + P2(y).
 
     The polynomials are used as given (no swapping), but the pair must be
-    admissible and the characteristic must clear its min_char.
+    admissible, the characteristic must clear its min_char and the three
+    sets must be subsets of ``field``.
     """
-    pair = normalize_pair(p1, p2)
-    pair.require_char(field)
-    p = field.p
+    require_same_field(field, a, b, c)
+    normalize_pair(p1, p2).require_char(field)
     t1 = value_table(p1, field)
     t2 = value_table(p2, field)
     n = _packed_count(a, b, c, t1, t2)
-    sizes = a.size * b.size * c.size
-    expected = Fraction(sizes, p)
-    error = abs(Fraction(n) - expected)
-    bound = sizes**0.5 * p ** (0.5 - 1 / 16)
-    return CountReport(exact_count=n, expected=expected, error=error, bound=bound)
+    return CountReport(field.p, (a.size, b.size, c.size), n)
 
 
 def lambda3(
@@ -206,23 +223,21 @@ def lambda3(
     field: PrimeField,
 ) -> float:
     """E_{x,y} f0(x) f1(x + P1(y)) f2(x + P2(y))."""
-    _check_same_field(field, f0, f1, f2)
-    p = field.p
+    require_same_field(field, f0, f1, f2)
     t1 = value_table(p1, field)
     t2 = value_table(p2, field)
     rows = _shift_dots(f0.values, f1.values, t1, f2.values, t2)
-    return float(rows.sum() / (p * p))
+    return float(rows.sum() / field.p**2)
 
 
 def lambda2(
     f0: GridFunction, f1: GridFunction, p1: IntPoly, field: PrimeField
 ) -> float:
     """E_{x,y} f0(x) f1(x + P1(y))."""
-    _check_same_field(field, f0, f1)
-    p = field.p
+    require_same_field(field, f0, f1)
     t1 = value_table(p1, field)
     rows = _shift_dots(f0.values, f1.values, t1)
-    return float(rows.sum() / (p * p))
+    return float(rows.sum() / field.p**2)
 
 
 def decomposition_residual(
@@ -261,8 +276,7 @@ def lambda_prime(f0: GridFunction, f1: GridFunction, fibers) -> float:
 
     Equals (1/(p * |V|)) * sum_a c[a] * sum_x f0(x) f1(x + a).
     """
-    if f0.field.p != f1.field.p or f0.field.p != fibers.field.p:
-        raise ValueError("functions and fibers live on different fields")
+    require_same_field(f0.field, f1, fibers)
     p = f0.field.p
     corr = _shift_dots(f0.values, f1.values, np.arange(p))
     weighted = np.dot(fibers.c.astype(np.float64), corr)
@@ -283,7 +297,7 @@ def prop22_sides(
     Callers assert lhs <= rhs.
     """
     field = f0.field
-    _check_same_field(field, f1, f2)
+    require_same_field(field, f1, f2, fibers)
     lhs = lambda3(f0, f1, f2, pair.p1, pair.p2, field)
     vol = fibers.v_size / field.p**4
     rhs = (
@@ -301,18 +315,16 @@ def main_theorem_ratio(
     f1: GridFunction,
     f2: GridFunction,
     pair: NormalizedPair,
-    fibers=None,
 ) -> float:
     """|L(f0, f1, f2)| / (||f0|| ||f1|| ||f2|| p^(-1/16)) for balanced f2.
 
-    The last argument must be mean zero (tolerance 1e-9).  Returns 0 when
-    any norm vanishes.  A uniformly bounded ratio across instances is the
-    quantitative content of the power-saving estimate.
+    The three functions must share one field, and f2 must be mean zero
+    (tolerance 1e-9).  Returns 0 when any norm vanishes.  A uniformly
+    bounded ratio across instances is the quantitative content of the
+    power-saving estimate; no fiber histogram enters it.
     """
     field = f0.field
-    _check_same_field(field, f1, f2)
-    if fibers is not None and fibers.field.p != field.p:
-        raise ValueError("fibers live on a different field")
+    require_same_field(field, f1, f2)
     if abs(f2.mean()) > MEAN_ZERO_TOL:
         raise NotMeanZero(f"f2 has mean {f2.mean()!r}")
     n0, n1, n2 = l2_norm(f0), l2_norm(f1), l2_norm(f2)
@@ -333,11 +345,9 @@ def expander_image(
     words whose first p bits are counted.  Memory is that of _and_blocks
     plus the two length-p int64 shift arrays and the w-word image.
     """
-    d = poly.degree
-    if d == float("-inf") or d < 2:
-        raise DegreeTooSmall(f"expander needs deg >= 2, got {d}")
-    if a.field.p != field.p or b.field.p != field.p:
-        raise ValueError("subsets live on a different field")
+    if poly.degree < 2:  # the zero polynomial's degree, -inf, too
+        raise DegreeTooSmall(f"expander needs deg >= 2, got {poly.degree}")
+    require_same_field(field, a, b)
     p = field.p
     table = value_table(poly, field)
     image = np.zeros(-(-p // WORD), dtype="<u8")

@@ -72,6 +72,14 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
+def require_same_field(field: PrimeField, *items) -> None:
+    """Refuse any grid function, subset or fiber distribution (anything with
+    a ``.field``) that lives on another prime than ``field``."""
+    for item in items:
+        if item.field.p != field.p:
+            raise ValueError("inputs live on different fields")
+
+
 def field_new(p: int) -> PrimeField:
     """Build F_p, rejecting composite or out-of-range moduli."""
     return PrimeField(p)

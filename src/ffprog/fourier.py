@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CharTooSmall, DegreeTooSmall
-from .field import PrimeField, value_table
+from .field import PrimeField, require_same_field, value_table
 from .setfun import GridFunction
 
 
@@ -68,8 +68,7 @@ def lambda_prime_spectral(f2: GridFunction, fibers) -> float:
     real part; for real inputs the imaginary part is ~1e-16 and must agree
     with the direct fiber-histogram computation to high accuracy.
     """
-    if f2.field.p != fibers.field.p:
-        raise ValueError("function and fibers live on different fields")
+    require_same_field(f2.field, fibers)
     cs = char_sums_over_fibers(fibers)
     total = np.dot(np.abs(dft(f2)) ** 2, cs)
     return float(total.real)

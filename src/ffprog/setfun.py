@@ -86,9 +86,7 @@ def indicator(subset: SubsetSpec) -> GridFunction:
 
 def balance(subset: SubsetSpec) -> GridFunction:
     """The balanced indicator 1_A - |A|/p, exactly mean zero."""
-    f = indicator(subset)
-    f.values = f.values - subset.density
-    return f
+    return GridFunction(subset.field, subset.mask - subset.density)
 
 
 def l2_norm(f: GridFunction) -> float:
@@ -128,7 +126,9 @@ def parse_random_spec(spec: str) -> tuple[float, int]:
 
 
 def parse_subset(spec: str, field: PrimeField) -> SubsetSpec:
-    """Interpret a subset spec: ``random:<density>:<seed>`` or a file path."""
+    """Interpret a subset spec: ``random:<density>:<seed>`` or a file path,
+    one residue per line; a line that is not an integer is a ValueError that
+    names the file and the line."""
     s = spec.strip()
     if s.startswith("random:"):
         return random_subset(field, *parse_random_spec(s))
@@ -136,5 +136,12 @@ def parse_subset(spec: str, field: PrimeField) -> SubsetSpec:
         text = read_text(s)
     except OSError as exc:
         raise ValueError(f"cannot read subset file {s!r}: {exc.strerror}") from None
-    members = (line.split("#", 1)[0].strip() for line in text.split("\n"))
-    return SubsetSpec.from_members(field, [int(m) for m in members if m])
+    members = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        residue = line.split("#", 1)[0].strip()
+        if residue:
+            try:
+                members.append(int(residue))
+            except ValueError as exc:
+                raise ValueError(f"{s!r}:{lineno}: {exc}") from None
+    return SubsetSpec.from_members(field, members)

@@ -75,3 +75,11 @@ def fibers_cache():
         return memo[key]
 
     return get
+
+
+def pytest_collection_modifyitems(config, items):
+    """Refuse a test id with whitespace: a test list split on whitespace cuts
+    it there, and two cases that differ only past the cut become one name."""
+    spaced = [item.nodeid for item in items if any(ch.isspace() for ch in item.nodeid)]
+    if spaced:
+        raise pytest.UsageError(f"test ids with whitespace: {spaced}")

@@ -320,7 +320,7 @@ def build_ratio_report(pairs, fibers):
     for i, p, spec, base, f0, f1, f2, dist in _degree_lowering_instances(
         pairs, fibers
     ):
-        ratio = main_theorem_ratio(f0, f1, f2, pairs[spec], dist)
+        ratio = main_theorem_ratio(f0, f1, f2, pairs[spec])
         worst_main = max(worst_main, ratio)
     worst_count = max(
         row["error_ratio"] for row in build_identity_report(pairs, fibers)["rows"]

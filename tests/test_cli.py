@@ -167,6 +167,17 @@ def test_directory_as_sets_or_config_exits_config(argv, tmp_path, capsys):
     assert captured.err.count("\n") == 1 and os.strerror(errno.EISDIR) in captured.err
 
 
+def test_a_sets_line_that_is_not_an_integer_names_file_and_line(tmp_path, capsys):
+    path = tmp_path / "set.txt"
+    path.write_text("3\n\n# residues\nx\n")
+    assert main(["count", "--pair", "y,y^2", "--primes", "7", "--sets", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --sets: {str(path)!r}:4: invalid literal for int() with base 10: 'x'\n"
+    )
+
+
 # --- exit codes -------------------------------------------------------------
 
 
@@ -1001,7 +1012,7 @@ def _address_space_3gib():
         ["verify", "--only", "weil"],
         ["verify", "--only", "decomposition"],
     ],
-    ids=" ".join,
+    ids=["count", "expander", "verify-weil", "verify-decomposition"],
 )
 def test_an_allocation_that_fails_exits_4(tmp_path, argv):
     # p = 2147483647 needs 16 GiB for one float64 or int64 array, past a
@@ -1054,6 +1065,7 @@ def test_cached_fiber_path_that_is_a_fifo(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag, message",
     [("--config", "cannot read config file"), ("--sets", "--sets: cannot read subset file")],
+    ids=["config", "sets"],
 )
 def test_fifo_or_device_as_sets_or_config_exits_config(tmp_path, kind, flag, message):
     # neither a regular file nor a directory: refused before the open, which

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -27,6 +28,7 @@ from ffprog import (
     lambda2,
     lambda3,
     lambda_prime,
+    lambda_prime_spectral,
     main_theorem_ratio,
     normalize_pair,
     parse_poly,
@@ -95,6 +97,20 @@ def test_count_bound_matches_report_ratio():
     a, b, c = (SubsetSpec.from_members(f, list(range(n))) for n in (15, 17, 33))
     rep = count_progressions(a, b, c, Y, Y2, f)
     assert rep.bound == 8415**0.5 * 37 ** (0.5 - 1 / 16)
+    assert rep.ratio == float(rep.error) / (8415**0.5 * 37 ** (0.5 - 1 / 16))
+    empty = count_progressions(a, b, SubsetSpec.empty(f), Y, Y2, f)
+    assert (empty.exact_count, empty.bound, empty.ratio) == (0, 0.0, 0.0)
+
+
+def test_count_report_holds_what_it_counted():
+    # p, the three sizes and N are the report; the rest derives from them
+    f = field_new(11)
+    a, b = SubsetSpec.from_members(f, [0, 1, 2]), SubsetSpec.from_members(f, [3, 4])
+    rep = count_progressions(a, b, SubsetSpec.full(f), Y, Y2, f)
+    assert [x.name for x in dataclasses.fields(CountReport)] == ["p", "sizes", "exact_count"]
+    assert (rep.p, rep.sizes) == (11, (3, 2, 11))
+    with pytest.raises(TypeError):
+        dataclasses.replace(rep, error=0)
 
 
 def test_count_gates():
@@ -513,13 +529,13 @@ def test_prop22_inequality_random(standard_pairs, fibers_cache):
 # --- main bound ratio -----------------------------------------------------------
 
 
-def test_main_theorem_ratio_finite(standard_pairs, fibers_cache):
+def test_main_theorem_ratio_finite(standard_pairs):
     pair = standard_pairs["y,y^2"]
     f = field_new(31)
     f0 = indicator(random_subset(f, 0.5, seed=60))
     f1 = indicator(random_subset(f, 0.5, seed=61))
     f2 = balance(random_subset(f, 0.5, seed=62))
-    ratio = main_theorem_ratio(f0, f1, f2, pair, fibers_cache(pair, 31))
+    ratio = main_theorem_ratio(f0, f1, f2, pair)
     assert np.isfinite(ratio)
     assert ratio >= 0.0
 
@@ -598,24 +614,25 @@ def _other_field_cases():
     """Each function's guard against inputs from two fields, p = 7 and 11."""
     f7, f11 = field_new(7), field_new(11)
     g7, g11 = GridFunction(f7, np.ones(7)), GridFunction(f11, np.ones(11))
+    s7, s11 = SubsetSpec.full(f7), SubsetSpec.full(f11)
     pair = normalize_pair(Y, Y2)
     fibers11 = SimpleNamespace(field=f11)
     return {
-        "lambda3": (lambda: lambda3(g7, g7, g11, Y, Y2, f7), ValueError, "different fields"),
-        "lambda2": (lambda: lambda2(g7, g11, Y, f7), ValueError, "different fields"),
-        "main_theorem_ratio": (
-            lambda: main_theorem_ratio(g7, g7, g7, pair, fibers11), ValueError, "different field"
-        ),
-        "expander_image": (
-            lambda: expander_image(SubsetSpec.full(f7), SubsetSpec.full(f11), Y2, f7),
-            ValueError,
-            "different field",
-        ),
+        # without a guard these three counted 49, 68 and 70
+        "count_progressions_c": lambda: count_progressions(s7, s7, s11, Y, Y2, f7),
+        "count_progressions_field": lambda: count_progressions(s7, s7, s7, Y, Y2, f11),
+        "count_progressions_a": lambda: count_progressions(s11, s7, s7, Y, Y2, f7),
+        "lambda3": lambda: lambda3(g7, g7, g11, Y, Y2, f7),
+        "lambda2": lambda: lambda2(g7, g11, Y, f7),
+        "lambda_prime": lambda: lambda_prime(g7, g7, fibers11),
+        "lambda_prime_spectral": lambda: lambda_prime_spectral(g7, fibers11),
+        "prop22_sides": lambda: prop22_sides(g7, g7, g7, pair, fibers11),
+        "main_theorem_ratio": lambda: main_theorem_ratio(g7, g7, g11, pair),
+        "expander_image": lambda: expander_image(s7, s11, Y2, f7),
     }
 
 
 @pytest.mark.parametrize("case", sorted(_other_field_cases()))
-def test_guards_refuse_mixed_fields_and_empty_fibers(case):
-    call, error, match = _other_field_cases()[case]
-    with pytest.raises(error, match=match):
-        call()
+def test_guards_refuse_mixed_fields(case):
+    with pytest.raises(ValueError, match="different fields"):
+        _other_field_cases()[case]()

@@ -149,9 +149,13 @@ def test_parse_subset_file(tmp_path):
     wrap.write_text("13\n-1\n")
     assert parse_subset(str(wrap), f).members == (0, 12)
     bad = tmp_path / "bad.txt"
-    bad.write_text("1\nfifteen\n")
-    with pytest.raises(ValueError):
+    bad.write_text("1\n# a note\nfifteen\n")
+    with pytest.raises(ValueError) as bad_line:
         parse_subset(str(bad), f)
+    # the message names the file and the line
+    assert str(bad_line.value) == (
+        f"{str(bad)!r}:3: invalid literal for int() with base 10: 'fifteen'"
+    )
     with pytest.raises(ValueError):
         parse_subset(str(tmp_path / "missing.txt"), f)
 
@@ -162,7 +166,7 @@ def test_parse_subset_file_skips_comments(tmp_path):
     assert parse_subset(str(path), field_new(13)).members == (1, 3, 8)
 
 
-@pytest.mark.parametrize("shape", [(6,), (8,), (7, 1), ()], ids=str)
+@pytest.mark.parametrize("shape", [(6,), (8,), (7, 1), ()], ids=lambda s: str(s).replace(" ", ""))
 def test_grid_function_refuses_a_wrong_length(shape):
     with pytest.raises(ValueError, match=r"need 7 values, got shape"):
         GridFunction(field_new(7), np.zeros(shape))
